@@ -1,20 +1,17 @@
-// Definitions of the shared driver building blocks declared in
-// core/driver_internal.h. These used to live in core/ssjoin.cc; the
-// operator pipeline (core/pipeline) and the spill layer (core/spill) now
-// consume them from here, so the exact candidate-generation and
-// accounting code runs in every execution path — which is what makes the
-// byte-identity contract (DESIGN.md Section 12) a structural property.
+// Definitions of the shared building blocks declared in
+// core/driver_internal.h. The operator pipeline (core/pipeline) and the
+// spill layer (core/spill) both consume them from here, so the exact
+// candidate-generation code runs in every execution path — which is what
+// makes the byte-identity contract (DESIGN.md Section 12) a structural
+// property.
 
 #include "core/driver_internal.h"
 
 #include <algorithm>
 #include <iterator>
-#include <string>
-#include <string_view>
 #include <utility>
 
 #include "core/kernels/flat_set.h"
-#include "obs/explain.h"
 #include "util/hashing.h"
 
 namespace ssjoin::detail {
@@ -22,112 +19,6 @@ namespace ssjoin::detail {
 std::function<bool()> StopFn(ExecutionGuard* guard, JoinPhase phase) {
   if (guard == nullptr) return {};
   return [guard, phase] { return guard->ShouldStop(phase); };
-}
-
-// Publishes the end-of-join accounting — root-span attributes plus the
-// join.* metrics — and, when the guard tripped, the trip cause as a span
-// event on the root. Called on every exit path, so traces and metrics of
-// tripped runs still carry the partial accounting the stats report.
-// Everything published here is derived from JoinStats, which is
-// byte-identical for every thread count (the determinism contract) —
-// except the intersect-kernel dispatch deltas, which depend on the host
-// CPU and are therefore published as kRuntime counters only.
-// `isect_start` is the process-wide dispatch snapshot the driver took at
-// entry; the delta is this join's kernel mix.
-void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
-                ExecutionGuard* guard, obs::ExplainReport* explain,
-                const kernels::IntersectCounts& isect_start) {
-  if (guard != nullptr && guard->tripped()) {
-    std::string_view reason = TripReasonName(guard->trip_reason());
-    telem.Event("guard_trip", reason);
-    telem.Attr("trip", reason);
-    if (explain != nullptr) explain->trip = std::string(reason);
-  }
-  const JoinStats& stats = result.stats;
-  telem.Attr("signatures_r", stats.signatures_r);
-  telem.Attr("signatures_s", stats.signatures_s);
-  telem.Attr("signature_collisions", stats.signature_collisions);
-  telem.Attr("candidates", stats.candidates);
-  telem.Attr("results", stats.results);
-  telem.Attr("false_positives", stats.false_positives);
-  telem.AddCount("join.runs", 1);
-  telem.AddCount("join.signatures", stats.signatures_r + stats.signatures_s);
-  telem.AddCount("join.signature_collisions", stats.signature_collisions);
-  telem.AddCount("join.candidates", stats.candidates);
-  telem.AddCount("join.results", stats.results);
-  telem.AddCount("join.false_positives", stats.false_positives);
-  // Candidates kept per signature collision: the dedup effectiveness of
-  // candidate generation (1.0 = every collision was a distinct pair).
-  telem.SetGauge("join.candidate_dedup_ratio",
-                 stats.signature_collisions > 0
-                     ? static_cast<double>(stats.candidates) /
-                           static_cast<double>(stats.signature_collisions)
-                     : 1.0);
-  telem.SetGauge("join.seconds.total", stats.TotalSeconds(),
-                 obs::Stability::kRuntime);
-  // Bitmap pre-filter effectiveness (DESIGN.md Section 11). The counters
-  // derive from JoinStats, so they are deterministic; a disabled filter
-  // reports 0 checked / 0 pruned and a 0.0 rate.
-  telem.Attr("bitmap_filter_checked", stats.bitmap_filter_checked);
-  telem.Attr("bitmap_filter_pruned", stats.bitmap_filter_pruned);
-  telem.AddCount("join.bitmap_filter_checked", stats.bitmap_filter_checked);
-  telem.AddCount("join.bitmap_filter_pruned", stats.bitmap_filter_pruned);
-  telem.SetGauge("join.bitmap_prune_rate",
-                 stats.bitmap_filter_checked > 0
-                     ? static_cast<double>(stats.bitmap_filter_pruned) /
-                           static_cast<double>(stats.bitmap_filter_checked)
-                     : 0.0);
-  // Which IntersectSize kernel verification actually ran: runtime-only
-  // (the mix depends on __builtin_cpu_supports and the SSJOIN_SIMD build
-  // gate, so it must stay out of the deterministic export).
-  kernels::IntersectCounts isect = kernels::IntersectDispatchCounts();
-  telem.AddCount("join.intersect.scalar", isect.scalar - isect_start.scalar,
-                 obs::Stability::kRuntime);
-  telem.AddCount("join.intersect.galloping",
-                 isect.galloping - isect_start.galloping,
-                 obs::Stability::kRuntime);
-  telem.AddCount("join.intersect.simd", isect.simd - isect_start.simd,
-                 obs::Stability::kRuntime);
-  // Drift actuals: everything stable the advisor can predict, plus the
-  // run outcome quantities (one-sided entries render without a ratio).
-  // RecordActual is null-safe — a detached explain costs one compare.
-  obs::RecordActual(explain, "join.signatures",
-                    static_cast<double>(stats.signatures_r +
-                                        stats.signatures_s));
-  obs::RecordActual(explain, "join.signature_collisions",
-                    static_cast<double>(stats.signature_collisions));
-  obs::RecordActual(explain, "join.f2",
-                    static_cast<double>(stats.F2()));
-  obs::RecordActual(explain, "join.candidates",
-                    static_cast<double>(stats.candidates));
-  obs::RecordActual(explain, "join.results",
-                    static_cast<double>(stats.results));
-  obs::RecordActual(explain, "join.false_positives",
-                    static_cast<double>(stats.false_positives));
-  obs::RecordActual(explain, "join.bitmap_filter_checked",
-                    static_cast<double>(stats.bitmap_filter_checked));
-  obs::RecordActual(explain, "join.bitmap_filter_pruned",
-                    static_cast<double>(stats.bitmap_filter_pruned));
-  // Out-of-core accounting, emitted only when the join actually spilled
-  // so in-memory runs keep their pre-spill telemetry shape (DESIGN.md
-  // Section 12). All four counters are deterministic for a fixed input
-  // and spill configuration.
-  if (stats.spill_partitions > 0) {
-    telem.Attr("spill_partitions", stats.spill_partitions);
-    telem.Attr("spill_retries", stats.spill_retries);
-    telem.AddCount("join.spill.partitions", stats.spill_partitions);
-    telem.AddCount("join.spill.bytes_written", stats.spill_bytes_written);
-    telem.AddCount("join.spill.bytes_read", stats.spill_bytes_read);
-    telem.AddCount("join.spill.retries", stats.spill_retries);
-    obs::RecordActual(explain, "join.spill.bytes_written",
-                      static_cast<double>(stats.spill_bytes_written));
-  }
-  if (explain != nullptr) {
-    explain->joins += 1;
-    explain->siggen_seconds += stats.siggen_seconds;
-    explain->candpair_seconds += stats.candpair_seconds;
-    explain->postfilter_seconds += stats.postfilter_seconds;
-  }
 }
 
 // Replaces *scratch with the deduplicated, sorted Sign(set).

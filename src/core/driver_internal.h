@@ -1,12 +1,12 @@
-// Internal building blocks of the Figure-2 drivers, shared between the
-// in-memory execution paths (core/ssjoin.cc) and the out-of-core spill
-// driver (core/spill/spill_join.cc).
+// Internal building blocks of the Figure-2 operators, shared between the
+// in-memory sources (core/pipeline) and the out-of-core spill attempt
+// (core/spill/spill_join.cc).
 //
-// Everything here used to live in ssjoin.cc's anonymous namespace; the
-// spill layer reuses it verbatim so a spilled join is the same candidate
-// generation and the same verification code operating on partition-sized
-// slices — which is what makes the byte-identity contract (DESIGN.md
-// Section 12) a structural property instead of a test hope.
+// The spill layer reuses them verbatim, so a spilled join is the same
+// candidate generation and the same verification code operating on
+// partition-sized slices — which is what makes the byte-identity
+// contract (DESIGN.md Section 12) a structural property instead of a
+// test hope.
 //
 // This header is internal: nothing in it is API, and its contracts (in
 // particular the determinism notes on each function) are those of
@@ -23,7 +23,6 @@
 
 #include "core/execution_guard.h"
 #include "core/kernels/bitmap_filter.h"
-#include "core/kernels/intersect.h"
 #include "core/predicate.h"
 #include "core/signature_scheme.h"
 #include "core/ssjoin.h"
@@ -44,14 +43,6 @@ using Posting = std::pair<Signature, SetId>;
 // (single-invocation-per-chunk) ParallelFor — unguarded runs execute the
 // exact pre-guard code path.
 std::function<bool()> StopFn(ExecutionGuard* guard, JoinPhase phase);
-
-// Publishes the end-of-join accounting — root-span attributes plus the
-// join.* metrics — and, when the guard tripped, the trip cause as a span
-// event on the root. Called on every exit path. `isect_start` is the
-// process-wide intersect-kernel dispatch snapshot taken at driver entry.
-void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
-                ExecutionGuard* guard, obs::ExplainReport* explain,
-                const kernels::IntersectCounts& isect_start);
 
 // Replaces *scratch with the deduplicated, sorted Sign(set).
 void GenerateSorted(const SignatureScheme& scheme,

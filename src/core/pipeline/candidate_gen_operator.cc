@@ -73,7 +73,7 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
   // budget, a signature table that would blow the budget reruns
   // out-of-core instead of tripping the guard (DESIGN.md Section 12).
   // The footprint is thread-count-independent, so the decision is
-  // deterministic; the spilled driver re-generates signatures streaming,
+  // deterministic; the spilled rerun re-generates signatures streaming,
   // so the tables are dropped here rather than carried across.
   const bool auto_spill = options.spill.policy == SpillPolicy::kAuto &&
                           guard != nullptr &&

@@ -2,11 +2,10 @@
 // Section 13).
 //
 // Every execution mode is a Plan: a linear chain of Operators pulled
-// sink-first (Volcano style, one Batch at a time). The three drivers in
-// core/ssjoin.cc and the spill driver reduce to plan builders
-// (core/pipeline/plan_builder.h); the phase logic they used to inline —
-// guard checkpoints, telemetry spans, stats commits — lives in exactly
-// one operator each.
+// sink-first (Volcano style, one Batch at a time). The one runner in
+// core/ssjoin.cc builds its chain with BuildPlan
+// (core/pipeline/plan_builder.h); the phase logic — guard checkpoints,
+// telemetry spans, stats commits — lives in exactly one operator each.
 //
 // Cross-cutting concerns attach ONCE here at the base:
 //
@@ -57,8 +56,8 @@ class ThreadPool;
 namespace ssjoin::pipeline {
 
 /// Everything a chain shares for one join execution. Plain pointers —
-/// the driver owns all of it; the context just wires operators to the
-/// same join-scoped state the monolithic drivers closed over.
+/// the runner owns all of it; the context just wires operators to the
+/// same join-scoped state.
 struct ExecContext {
   const SetCollection* left = nullptr;
   /// Null for the self-join modes (the spilled self path included).
@@ -74,11 +73,11 @@ struct ExecContext {
   JoinResult* result = nullptr;
 
   /// Set by an operator when the auto-spill budget check fires: the
-  /// chain winds down cleanly (no guard latch) and the driver delegates
-  /// to the out-of-core path.
+  /// chain winds down cleanly (no guard latch) and the runner reruns
+  /// the join with the spilled chain.
   bool degrade = false;
-  /// Guard memory the degraded chain still holds charged; the driver
-  /// releases it before delegating (the spilled join accounts its own
+  /// Guard memory the degraded chain still holds charged; the runner
+  /// releases it before the rerun (the spilled join accounts its own
   /// footprint from zero).
   size_t degrade_release_bytes = 0;
   /// True once the manual PostFilter phase is open (the phase spans

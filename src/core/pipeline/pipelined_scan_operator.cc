@@ -45,8 +45,8 @@ Status PipelinedScanOperator::Barrier() {
   if (auto_spill_ &&
       guard->memory_charged() > guard->budget().memory_budget_bytes) {
     // Degrade, don't trip: the checkpoint is skipped so the guard never
-    // latches, and the index charge is handed back by the driver before
-    // it delegates to the out-of-core rerun.
+    // latches, and the index charge is handed back by the runner before
+    // it starts the out-of-core rerun.
     ctx_->degrade = true;
     ctx_->degrade_release_bytes += charged_sigs_ * sizeof(detail::Posting);
     return Status::OK();
@@ -228,6 +228,10 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
   next_ = static_cast<SetId>(b1);
 }
 
-void PipelinedScanOperator::Close() { Operator::Close(); }
+void PipelinedScanOperator::Close() {
+  // A self-join's right side is its left side.
+  ctx_->result->stats.signatures_s = ctx_->result->stats.signatures_r;
+  Operator::Close();
+}
 
 }  // namespace ssjoin::pipeline

@@ -22,7 +22,7 @@
 // verify stats before the next pull, so a barrier always observes
 // whole-unit totals, exactly as the legacy loop did. On degradation the
 // operator charges nothing further, adds the index footprint to
-// ctx->degrade_release_bytes, and ends the stream; the driver reruns
+// ctx->degrade_release_bytes, and ends the stream; the runner reruns
 // out of core.
 //
 // This mode records no stable phase spans — the serial and block

@@ -11,42 +11,31 @@
 #include "core/pipeline/verify_operator.h"
 
 namespace ssjoin::pipeline {
-namespace {
 
-// The shared verify tail. `eager_bitmap` and `chunked` select the
-// mode's build/guard discipline; `sort_on_end` is true only for the
-// pipelined chain, whose candidates stream in discovery order.
-void AppendVerifyTail(Plan* plan, ExecContext* ctx, bool eager_bitmap,
-                      bool chunked, bool sort_on_end) {
+void BuildPlan(Plan* plan, ExecContext* ctx, bool spill) {
+  // The one fact the verify tail depends on: a PipelinedScan source
+  // streams candidates per unit in discovery order, so the tail builds
+  // its bitmap eagerly, verifies unchunked and sorts at end of stream.
+  const bool pipelined =
+      !spill && ctx->mode == ExecutionMode::kPipelinedSelfJoin;
+  if (spill) {
+    plan->Add(std::make_unique<SpillPartitionOperator>(ctx));
+  } else if (pipelined) {
+    plan->Add(std::make_unique<PipelinedScanOperator>(ctx));
+  } else {
+    plan->Add(std::make_unique<SigGenOperator>(ctx));
+    plan->Add(std::make_unique<CandidateGenOperator>(ctx));
+  }
   const JoinOptions& options = *ctx->options;
   if (options.verify) {
     if (options.bitmap_bits != 0) {
-      plan->Add(std::make_unique<BitmapFilterOperator>(ctx, eager_bitmap));
+      plan->Add(std::make_unique<BitmapFilterOperator>(ctx,
+                                                       /*eager=*/pipelined));
     }
-    plan->Add(std::make_unique<VerifyOperator>(ctx, chunked));
+    plan->Add(std::make_unique<VerifyOperator>(ctx, /*chunked=*/!pipelined));
   }
-  plan->Add(std::make_unique<DedupEmitOperator>(ctx, sort_on_end));
-}
-
-}  // namespace
-
-void BuildSortedPlan(Plan* plan, ExecContext* ctx) {
-  plan->Add(std::make_unique<SigGenOperator>(ctx));
-  plan->Add(std::make_unique<CandidateGenOperator>(ctx));
-  AppendVerifyTail(plan, ctx, /*eager_bitmap=*/false, /*chunked=*/true,
-                   /*sort_on_end=*/false);
-}
-
-void BuildPipelinedPlan(Plan* plan, ExecContext* ctx) {
-  plan->Add(std::make_unique<PipelinedScanOperator>(ctx));
-  AppendVerifyTail(plan, ctx, /*eager_bitmap=*/true, /*chunked=*/false,
-                   /*sort_on_end=*/true);
-}
-
-void BuildSpillPlan(Plan* plan, ExecContext* ctx) {
-  plan->Add(std::make_unique<SpillPartitionOperator>(ctx));
-  AppendVerifyTail(plan, ctx, /*eager_bitmap=*/false, /*chunked=*/true,
-                   /*sort_on_end=*/false);
+  plan->Add(std::make_unique<DedupEmitOperator>(ctx,
+                                                /*sort_on_end=*/pipelined));
 }
 
 }  // namespace ssjoin::pipeline

@@ -1,8 +1,8 @@
-// Plan builders: the three execution modes expressed as operator chains
-// (DESIGN.md Section 13). The drivers in core/ssjoin.cc and the spill
-// entry points build one of these and call Plan::Run; everything the
-// modes share — guard protocol, telemetry discipline, explain plan
-// recording — lives in the operators, once.
+// The plan builder: every execution mode as one operator chain
+// (DESIGN.md Section 13). The runner in core/ssjoin.cc builds one plan
+// and calls Plan::Run; everything the modes share — guard protocol,
+// telemetry discipline, explain plan recording — lives in the
+// operators, once.
 //
 //   Sorted     SigGen -> CandidateGen [-> BitmapFilter -> Verify]
 //              -> DedupEmit
@@ -20,8 +20,10 @@
 
 namespace ssjoin::pipeline {
 
-void BuildSortedPlan(Plan* plan, ExecContext* ctx);
-void BuildPipelinedPlan(Plan* plan, ExecContext* ctx);
-void BuildSpillPlan(Plan* plan, ExecContext* ctx);
+/// Fills `plan` with the chain for `ctx->mode`: the spilled chain when
+/// `spill` is set (either self-join mode or the binary join), otherwise
+/// the pipelined chain for kPipelinedSelfJoin and the sorted chain for
+/// the rest.
+void BuildPlan(Plan* plan, ExecContext* ctx, bool spill);
 
 }  // namespace ssjoin::pipeline

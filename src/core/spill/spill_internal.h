@@ -1,8 +1,8 @@
 // Internal seam between the spill layer and the operator pipeline: one
 // out-of-core attempt at a fixed partition count. SpillPartitionOperator
-// (core/pipeline) drives the retry loop around this; the public
-// SpilledSelfJoin/SpilledBinaryJoin entry points stay the only supported
-// way in.
+// (core/pipeline) drives the retry loop around this. Nothing here is
+// API: callers reach the spilled join through Join() with
+// SpillPolicy::kForced, or through an auto-spill degrade.
 
 #pragma once
 

@@ -10,14 +10,9 @@
 
 #include "core/driver_internal.h"
 #include "core/execution_guard.h"
-#include "core/kernels/intersect.h"
-#include "core/pipeline/operator.h"
-#include "core/pipeline/plan_builder.h"
 #include "core/spill/spill_file.h"
 #include "core/spill/spill_internal.h"
-#include "obs/explain.h"
 #include "obs/join_telemetry.h"
-#include "obs/log.h"
 #include "util/hashing.h"
 #include "util/status.h"
 #include "util/temp_dir.h"
@@ -272,79 +267,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
 
 }  // namespace internal
 
-namespace {
-
-// The shared driver behind both public entry points: the spilled
-// operator chain (SpillPartition owns the retry loop around
-// internal::RunAttempt, the verify tail is the standard one).
-JoinResult SpilledJoin(const SetCollection& left, const SetCollection* right,
-                       const SignatureScheme& scheme,
-                       const Predicate& predicate, const JoinOptions& options,
-                       ExecutionMode mode, bool forced) {
-  JoinResult result;
-  obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
-  telem.Attr("mode", ExecutionModeName(mode));
-  if (right != nullptr) {
-    telem.Attr("input_sets_r", static_cast<uint64_t>(left.size()));
-    telem.Attr("input_sets_s", static_cast<uint64_t>(right->size()));
-  } else {
-    telem.Attr("input_sets", static_cast<uint64_t>(left.size()));
-  }
-  telem.Attr("spill", forced ? "forced" : "auto");
-  obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
-                {{"mode", ExecutionModeName(mode)},
-                 {"spill", forced ? "forced" : "auto"},
-                 {"input_sets",
-                  static_cast<uint64_t>(
-                      left.size() + (right != nullptr ? right->size() : 0))}});
-  ThreadPool pool(ResolveThreadCount(options.num_threads));
-  pool.BindMetrics(options.metrics);
-  ExecutionGuard* guard = options.guard;
-  if (guard != nullptr) guard->BindMetrics(options.metrics);
-  kernels::IntersectCounts isect0 = kernels::IntersectDispatchCounts();
-
-  uint32_t partitions = options.spill.partitions != 0
-                            ? options.spill.partitions
-                            : kDefaultPartitions;
-  if (obs::ExplainReport* ex = options.explain) {
-    ex->SetParam("spill", forced ? "forced" : "auto");
-    ex->SetParam("spill_partitions", std::to_string(partitions));
-  }
-
-  pipeline::ExecContext ctx;
-  ctx.left = &left;
-  ctx.right = right;
-  ctx.scheme = &scheme;
-  ctx.predicate = &predicate;
-  ctx.mode = mode;
-  ctx.options = &options;
-  ctx.pool = &pool;
-  ctx.guard = guard;
-  ctx.telem = &telem;
-  ctx.result = &result;
-  pipeline::Plan plan(&ctx);
-  pipeline::BuildSpillPlan(&plan, &ctx);
-  Status st = plan.Run();
-  if (!st.ok()) {
-    result.pairs.clear();
-    result.status = std::move(st);
-    detail::FinishJoin(telem, result, guard, options.explain, isect0);
-    obs::LogEvent(options.log, obs::LogLevel::kWarn, "join_abort",
-                  {{"error", result.status.ToString()}});
-    return result;
-  }
-
-  detail::FinishJoin(telem, result, guard, options.explain, isect0);
-  obs::LogEvent(options.log, obs::LogLevel::kInfo, "join_finish",
-                {{"results", result.stats.results},
-                 {"candidates", result.stats.candidates},
-                 {"spill_partitions", result.stats.spill_partitions},
-                 {"spill_retries", result.stats.spill_retries}});
-  return result;
-}
-
-}  // namespace
-
 SpillPolicy ResolvePolicy(SpillPolicy requested) {
   if (requested != SpillPolicy::kDefault) return requested;
   const char* env = std::getenv("SSJOIN_SPILL");
@@ -353,23 +275,6 @@ SpillPolicy ResolvePolicy(SpillPolicy requested) {
   if (value == "auto") return SpillPolicy::kAuto;
   if (value == "force") return SpillPolicy::kForced;
   return SpillPolicy::kDisabled;
-}
-
-JoinResult SpilledSelfJoin(const SetCollection& input,
-                           const SignatureScheme& scheme,
-                           const Predicate& predicate,
-                           const JoinOptions& options, ExecutionMode mode,
-                           bool forced) {
-  return SpilledJoin(input, nullptr, scheme, predicate, options, mode,
-                     forced);
-}
-
-JoinResult SpilledBinaryJoin(const SetCollection& r, const SetCollection& s,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options, bool forced) {
-  return SpilledJoin(r, &s, scheme, predicate, options,
-                     ExecutionMode::kBinaryJoin, forced);
 }
 
 }  // namespace ssjoin::spill

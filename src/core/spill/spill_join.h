@@ -1,11 +1,13 @@
 // Out-of-core execution of the Figure-2 driver (DESIGN.md Section 12).
 //
 // When memory pressure would trip the guard — or the spill policy forces
-// it — the driver degrades instead of failing: signature generation
-// streams its postings into K hash-partitioned, checksummed spill files
+// it — the join runner (core/ssjoin.cc) builds the spilled plan instead
+// of failing: its SpillPartition source (core/pipeline) streams the
+// signature postings into K hash-partitioned, checksummed spill files
 // (core/spill/spill_file.h), and candidate generation runs one partition
 // at a time, each through the *same* shard/union/verify building blocks
-// as the in-memory path (core/driver_internal.h).
+// as the in-memory path (core/driver_internal.h). The attempt itself is
+// core/spill/spill_internal.h; this header holds the policy knobs.
 //
 // The partitioning invariant that makes this exact: postings are routed
 // by a hash of the signature alone, so every signature group lands
@@ -26,10 +28,9 @@
 
 #pragma once
 
-#include "core/predicate.h"
-#include "core/signature_scheme.h"
+#include <cstdint>
+
 #include "core/ssjoin.h"
-#include "data/collection.h"
 
 namespace ssjoin::spill {
 
@@ -41,21 +42,5 @@ inline constexpr uint32_t kDefaultPartitions = 8;
 /// off). Explicit policies pass through untouched, so call sites that
 /// pin kDisabled escape a CI-wide force.
 SpillPolicy ResolvePolicy(SpillPolicy requested);
-
-/// Out-of-core self-join. `mode` is the requested execution mode (the
-/// sorted and pipelined self-joins share one output contract, so both
-/// degrade here); `forced` records whether the spill was policy-forced
-/// or an auto degradation, for telemetry only.
-JoinResult SpilledSelfJoin(const SetCollection& input,
-                           const SignatureScheme& scheme,
-                           const Predicate& predicate,
-                           const JoinOptions& options, ExecutionMode mode,
-                           bool forced);
-
-/// Out-of-core binary join between R and S.
-JoinResult SpilledBinaryJoin(const SetCollection& r, const SetCollection& s,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options, bool forced);
 
 }  // namespace ssjoin::spill

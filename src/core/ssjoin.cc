@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/driver_internal.h"
@@ -18,9 +19,8 @@
 // The execution engine lives in core/pipeline: every mode is an operator
 // chain (DESIGN.md Section 13) and the shared building blocks sit in
 // core/driver_internal.cc. What remains here is the public API — request
-// validation, mode dispatch — plus the two in-memory drivers, which are
-// now just plan-builders: set up telemetry/pool/guard, build the chain,
-// run it, publish the accounting.
+// validation — plus the one plan runner: set up telemetry/pool/guard,
+// build the chain, run it, publish the accounting.
 
 namespace ssjoin {
 
@@ -45,30 +45,156 @@ std::string JoinStats::ToString() const {
 
 namespace {
 
-// The sorted driver, covering self- and binary joins (`right == nullptr`
-// selects self). Runs SigGen -> CandidateGen -> verify tail.
-JoinResult RunSortedJoin(const SetCollection& left, const SetCollection* right,
-                         const SignatureScheme& scheme,
-                         const Predicate& predicate,
-                         const JoinOptions& options) {
+// Publishes the end-of-join accounting — root-span attributes plus the
+// join.* metrics — and, when the guard tripped, the trip cause as a span
+// event on the root. Called on every exit path, so traces and metrics of
+// tripped runs still carry the partial accounting the stats report.
+// Everything published here is derived from JoinStats, which is
+// byte-identical for every thread count (the determinism contract) —
+// except the intersect-kernel dispatch deltas, which depend on the host
+// CPU and are therefore published as kRuntime counters only.
+// `isect_start` is the process-wide dispatch snapshot the runner took at
+// entry; the delta is this join's kernel mix.
+void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
+                ExecutionGuard* guard, obs::ExplainReport* explain,
+                const kernels::IntersectCounts& isect_start) {
+  if (guard != nullptr && guard->tripped()) {
+    std::string_view reason = TripReasonName(guard->trip_reason());
+    telem.Event("guard_trip", reason);
+    telem.Attr("trip", reason);
+    if (explain != nullptr) explain->trip = std::string(reason);
+  }
+  const JoinStats& stats = result.stats;
+  telem.Attr("signatures_r", stats.signatures_r);
+  telem.Attr("signatures_s", stats.signatures_s);
+  telem.Attr("signature_collisions", stats.signature_collisions);
+  telem.Attr("candidates", stats.candidates);
+  telem.Attr("results", stats.results);
+  telem.Attr("false_positives", stats.false_positives);
+  telem.AddCount("join.runs", 1);
+  telem.AddCount("join.signatures", stats.signatures_r + stats.signatures_s);
+  telem.AddCount("join.signature_collisions", stats.signature_collisions);
+  telem.AddCount("join.candidates", stats.candidates);
+  telem.AddCount("join.results", stats.results);
+  telem.AddCount("join.false_positives", stats.false_positives);
+  // Candidates kept per signature collision: the dedup effectiveness of
+  // candidate generation (1.0 = every collision was a distinct pair).
+  telem.SetGauge("join.candidate_dedup_ratio",
+                 stats.signature_collisions > 0
+                     ? static_cast<double>(stats.candidates) /
+                           static_cast<double>(stats.signature_collisions)
+                     : 1.0);
+  telem.SetGauge("join.seconds.total", stats.TotalSeconds(),
+                 obs::Stability::kRuntime);
+  // Bitmap pre-filter effectiveness (DESIGN.md Section 11). The counters
+  // derive from JoinStats, so they are deterministic; a disabled filter
+  // reports 0 checked / 0 pruned and a 0.0 rate.
+  telem.Attr("bitmap_filter_checked", stats.bitmap_filter_checked);
+  telem.Attr("bitmap_filter_pruned", stats.bitmap_filter_pruned);
+  telem.AddCount("join.bitmap_filter_checked", stats.bitmap_filter_checked);
+  telem.AddCount("join.bitmap_filter_pruned", stats.bitmap_filter_pruned);
+  telem.SetGauge("join.bitmap_prune_rate",
+                 stats.bitmap_filter_checked > 0
+                     ? static_cast<double>(stats.bitmap_filter_pruned) /
+                           static_cast<double>(stats.bitmap_filter_checked)
+                     : 0.0);
+  // Which IntersectSize kernel verification actually ran: runtime-only
+  // (the mix depends on __builtin_cpu_supports and the SSJOIN_SIMD build
+  // gate, so it must stay out of the deterministic export).
+  kernels::IntersectCounts isect = kernels::IntersectDispatchCounts();
+  telem.AddCount("join.intersect.scalar", isect.scalar - isect_start.scalar,
+                 obs::Stability::kRuntime);
+  telem.AddCount("join.intersect.galloping",
+                 isect.galloping - isect_start.galloping,
+                 obs::Stability::kRuntime);
+  telem.AddCount("join.intersect.simd", isect.simd - isect_start.simd,
+                 obs::Stability::kRuntime);
+  // Drift actuals: everything stable the advisor can predict, plus the
+  // run outcome quantities (one-sided entries render without a ratio).
+  // RecordActual is null-safe — a detached explain costs one compare.
+  obs::RecordActual(explain, "join.signatures",
+                    static_cast<double>(stats.signatures_r +
+                                        stats.signatures_s));
+  obs::RecordActual(explain, "join.signature_collisions",
+                    static_cast<double>(stats.signature_collisions));
+  obs::RecordActual(explain, "join.f2",
+                    static_cast<double>(stats.F2()));
+  obs::RecordActual(explain, "join.candidates",
+                    static_cast<double>(stats.candidates));
+  obs::RecordActual(explain, "join.results",
+                    static_cast<double>(stats.results));
+  obs::RecordActual(explain, "join.false_positives",
+                    static_cast<double>(stats.false_positives));
+  obs::RecordActual(explain, "join.bitmap_filter_checked",
+                    static_cast<double>(stats.bitmap_filter_checked));
+  obs::RecordActual(explain, "join.bitmap_filter_pruned",
+                    static_cast<double>(stats.bitmap_filter_pruned));
+  // Out-of-core accounting, emitted only when the join actually spilled
+  // so in-memory runs keep their pre-spill telemetry shape (DESIGN.md
+  // Section 12). All four counters are deterministic for a fixed input
+  // and spill configuration.
+  if (stats.spill_partitions > 0) {
+    telem.Attr("spill_partitions", stats.spill_partitions);
+    telem.Attr("spill_retries", stats.spill_retries);
+    telem.AddCount("join.spill.partitions", stats.spill_partitions);
+    telem.AddCount("join.spill.bytes_written", stats.spill_bytes_written);
+    telem.AddCount("join.spill.bytes_read", stats.spill_bytes_read);
+    telem.AddCount("join.spill.retries", stats.spill_retries);
+    obs::RecordActual(explain, "join.spill.bytes_written",
+                      static_cast<double>(stats.spill_bytes_written));
+  }
+  if (explain != nullptr) {
+    explain->joins += 1;
+    explain->siggen_seconds += stats.siggen_seconds;
+    explain->candpair_seconds += stats.candpair_seconds;
+    explain->postfilter_seconds += stats.postfilter_seconds;
+  }
+}
+
+// The one plan runner behind Join(). `spill` selects the out-of-core
+// source (SpillPartition); otherwise the mode picks it — PipelinedScan
+// for the pipelined self-join, SigGen -> CandidateGen for the sorted
+// self and binary joins. When an in-memory source degrades under the
+// auto-spill budget, the runner hands its charges back and reruns the
+// same request out of core; that rerun opens its own telemetry root and
+// accounts its footprint from zero.
+JoinResult RunPlan(const JoinRequest& request, bool spill) {
+  const JoinOptions& options = request.options;
+  const SetCollection& left = *request.left;
+  const SetCollection* right =
+      request.mode == ExecutionMode::kBinaryJoin ? request.right : nullptr;
+  const std::string_view mode = ExecutionModeName(request.mode);
+  const std::string_view spill_mode =
+      options.spill.policy == SpillPolicy::kForced ? "forced" : "auto";
+  const uint64_t input_sets =
+      left.size() + (right != nullptr ? right->size() : 0);
+
   JoinResult result;
   obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
+  telem.Attr("mode", mode);
   if (right != nullptr) {
-    telem.Attr("mode", ExecutionModeName(ExecutionMode::kBinaryJoin));
     telem.Attr("input_sets_r", static_cast<uint64_t>(left.size()));
     telem.Attr("input_sets_s", static_cast<uint64_t>(right->size()));
   } else {
-    telem.Attr("mode", ExecutionModeName(ExecutionMode::kSelfJoin));
     telem.Attr("input_sets", static_cast<uint64_t>(left.size()));
   }
-  obs::LogEvent(
-      options.log, obs::LogLevel::kDebug, "join_start",
-      {{"mode", ExecutionModeName(right != nullptr
-                                      ? ExecutionMode::kBinaryJoin
-                                      : ExecutionMode::kSelfJoin)},
-       {"input_sets", static_cast<uint64_t>(
-                          left.size() + (right != nullptr ? right->size()
-                                                          : 0))}});
+  if (spill) {
+    telem.Attr("spill", spill_mode);
+    obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
+                  {{"mode", mode},
+                   {"spill", spill_mode},
+                   {"input_sets", input_sets}});
+    if (obs::ExplainReport* ex = options.explain) {
+      ex->SetParam("spill", spill_mode);
+      ex->SetParam("spill_partitions",
+                   std::to_string(options.spill.partitions != 0
+                                      ? options.spill.partitions
+                                      : spill::kDefaultPartitions));
+    }
+  } else {
+    obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
+                  {{"mode", mode}, {"input_sets", input_sets}});
+  }
   ThreadPool pool(ResolveThreadCount(options.num_threads));
   pool.BindMetrics(options.metrics);
   ExecutionGuard* guard = options.guard;
@@ -78,112 +204,44 @@ JoinResult RunSortedJoin(const SetCollection& left, const SetCollection* right,
   pipeline::ExecContext ctx;
   ctx.left = &left;
   ctx.right = right;
-  ctx.scheme = &scheme;
-  ctx.predicate = &predicate;
-  ctx.mode = right != nullptr ? ExecutionMode::kBinaryJoin
-                              : ExecutionMode::kSelfJoin;
+  ctx.scheme = request.scheme;
+  ctx.predicate = request.predicate;
+  ctx.mode = request.mode;
   ctx.options = &options;
   ctx.pool = &pool;
   ctx.guard = guard;
   ctx.telem = &telem;
   ctx.result = &result;
   pipeline::Plan plan(&ctx);
-  pipeline::BuildSortedPlan(&plan, &ctx);
+  pipeline::BuildPlan(&plan, &ctx, spill);
   Status st = plan.Run();
   if (ctx.degrade) {
-    // CandidateGen decided (before charging anything) that the signature
-    // tables would blow the memory budget: rerun out-of-core. The spill
-    // driver opens its own telemetry root nested under this one and
-    // accounts its footprint from zero.
+    // The in-memory source decided the memory budget cannot hold its
+    // tables (an auto-spill degrade never latches the guard).
     obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
-                  {{"mode", ExecutionModeName(ctx.mode)}});
-    if (right != nullptr) {
-      return spill::SpilledBinaryJoin(left, *right, scheme, predicate,
-                                      options, /*forced=*/false);
-    }
-    return spill::SpilledSelfJoin(left, scheme, predicate, options,
-                                  ExecutionMode::kSelfJoin,
-                                  /*forced=*/false);
-  }
-  if (!st.ok()) {
-    result.pairs.clear();
-    result.status = std::move(st);
-    detail::FinishJoin(telem, result, guard, options.explain, isect0);
-    obs::LogEvent(options.log, obs::LogLevel::kWarn, "join_abort",
-                  {{"error", result.status.ToString()}});
-    return result;
-  }
-  detail::FinishJoin(telem, result, guard, options.explain, isect0);
-  obs::LogEvent(options.log, obs::LogLevel::kInfo, "join_finish",
-                {{"results", result.stats.results},
-                 {"candidates", result.stats.candidates}});
-  return result;
-}
-
-// The pipelined self-join driver: PipelinedScan -> verify tail. The
-// pipelined executions record no stable phase spans — the serial and
-// block-parallel scans differ in loop structure, and the deterministic
-// export must not see that — so only the root span carries accounting.
-JoinResult RunPipelinedJoin(const SetCollection& input,
-                            const SignatureScheme& scheme,
-                            const Predicate& predicate,
-                            const JoinOptions& options) {
-  JoinResult result;
-  obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
-  telem.Attr("mode", ExecutionModeName(ExecutionMode::kPipelinedSelfJoin));
-  telem.Attr("input_sets", static_cast<uint64_t>(input.size()));
-  obs::LogEvent(
-      options.log, obs::LogLevel::kDebug, "join_start",
-      {{"mode", ExecutionModeName(ExecutionMode::kPipelinedSelfJoin)},
-       {"input_sets", static_cast<uint64_t>(input.size())}});
-  size_t threads = ResolveThreadCount(options.num_threads);
-  ThreadPool pool(threads);
-  // The serial scan variant predates pool-level instrumentation and its
-  // runtime telemetry shape is part of the compatibility surface: only
-  // the parallel variant binds the pool's metrics.
-  if (threads > 1) pool.BindMetrics(options.metrics);
-  ExecutionGuard* guard = options.guard;
-  if (guard != nullptr) guard->BindMetrics(options.metrics);
-  kernels::IntersectCounts isect0 = kernels::IntersectDispatchCounts();
-
-  pipeline::ExecContext ctx;
-  ctx.left = &input;
-  ctx.right = nullptr;
-  ctx.scheme = &scheme;
-  ctx.predicate = &predicate;
-  ctx.mode = ExecutionMode::kPipelinedSelfJoin;
-  ctx.options = &options;
-  ctx.pool = &pool;
-  ctx.guard = guard;
-  ctx.telem = &telem;
-  ctx.result = &result;
-  pipeline::Plan plan(&ctx);
-  pipeline::BuildPipelinedPlan(&plan, &ctx);
-  Status st = plan.Run();
-  if (ctx.degrade) {
-    // Hand every byte this run charged (inverted index + bitmap) back
-    // before delegating — the spilled driver accounts its own footprint
-    // from zero.
-    obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
-                  {{"mode", ExecutionModeName(ctx.mode)}});
+                  {{"mode", mode}});
     guard->ReleaseMemory(ctx.degrade_release_bytes);
-    return spill::SpilledSelfJoin(input, scheme, predicate, options,
-                                  ExecutionMode::kPipelinedSelfJoin,
-                                  /*forced=*/false);
+    return RunPlan(request, /*spill=*/true);
   }
-  result.stats.signatures_s = result.stats.signatures_r;
   if (!st.ok()) {
     result.pairs.clear();
     result.status = std::move(st);
-    detail::FinishJoin(telem, result, guard, options.explain, isect0);
+  }
+  FinishJoin(telem, result, guard, options.explain, isect0);
+  if (!result.status.ok()) {
     obs::LogEvent(options.log, obs::LogLevel::kWarn, "join_abort",
                   {{"error", result.status.ToString()}});
-    return result;
+  } else if (spill) {
+    obs::LogEvent(options.log, obs::LogLevel::kInfo, "join_finish",
+                  {{"results", result.stats.results},
+                   {"candidates", result.stats.candidates},
+                   {"spill_partitions", result.stats.spill_partitions},
+                   {"spill_retries", result.stats.spill_retries}});
+  } else {
+    obs::LogEvent(options.log, obs::LogLevel::kInfo, "join_finish",
+                  {{"results", result.stats.results},
+                   {"candidates", result.stats.candidates}});
   }
-  detail::FinishJoin(telem, result, guard, options.explain, isect0);
-  obs::LogEvent(options.log, obs::LogLevel::kInfo, "join_finish",
-                {{"results", result.stats.results},
-                 {"candidates", result.stats.candidates}});
   return result;
 }
 
@@ -289,7 +347,7 @@ JoinResult Join(const JoinRequest& request) {
     // explain header is only stamped for requests that will execute.
     return InvalidResult(std::move(st));
   }
-  // EXPLAIN header: the chosen driver and the stable input-size params.
+  // EXPLAIN header: the execution mode and the stable input-size params.
   // Thread count is deliberately absent — the report's stable fields
   // must be byte-identical across thread counts (DESIGN.md Section 9).
   if (obs::ExplainReport* ex = request.options.explain) {
@@ -303,77 +361,12 @@ JoinResult Join(const JoinRequest& request) {
     }
   }
   // Resolve SpillPolicy::kDefault (the SSJOIN_SPILL env hook) once here,
-  // so the drivers and the spill layer only ever see explicit policies.
-  JoinOptions options = request.options;
-  options.spill.policy = spill::ResolvePolicy(request.options.spill.policy);
-  const bool forced = options.spill.policy == SpillPolicy::kForced;
-  switch (request.mode) {
-    case ExecutionMode::kSelfJoin:
-    case ExecutionMode::kPipelinedSelfJoin:
-      if (forced) {
-        // Both self-join modes share one output contract, so forcing the
-        // spill path is valid for either; `mode` is kept for telemetry.
-        return spill::SpilledSelfJoin(*request.left, *request.scheme,
-                                      *request.predicate, options,
-                                      request.mode, /*forced=*/true);
-      }
-      if (request.mode == ExecutionMode::kSelfJoin) {
-        return RunSortedJoin(*request.left, /*right=*/nullptr,
-                             *request.scheme, *request.predicate, options);
-      }
-      return RunPipelinedJoin(*request.left, *request.scheme,
-                              *request.predicate, options);
-    case ExecutionMode::kBinaryJoin:
-      if (forced) {
-        return spill::SpilledBinaryJoin(*request.left, *request.right,
-                                        *request.scheme, *request.predicate,
-                                        options, /*forced=*/true);
-      }
-      return RunSortedJoin(*request.left, request.right, *request.scheme,
-                           *request.predicate, options);
-  }
-  // Validate() already rejected unknown modes; kept for enum hygiene.
-  return InvalidResult(Status::InvalidArgument("unknown ExecutionMode"));
-}
-
-JoinResult SignatureSelfJoin(const SetCollection& input,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options) {
-  JoinRequest request;
-  request.left = &input;
-  request.scheme = &scheme;
-  request.predicate = &predicate;
-  request.mode = ExecutionMode::kSelfJoin;
-  request.options = options;
-  return Join(request);
-}
-
-JoinResult PipelinedSelfJoin(const SetCollection& input,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options) {
-  JoinRequest request;
-  request.left = &input;
-  request.scheme = &scheme;
-  request.predicate = &predicate;
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
-  request.options = options;
-  return Join(request);
-}
-
-JoinResult SignatureJoin(const SetCollection& r, const SetCollection& s,
-                         const SignatureScheme& scheme,
-                         const Predicate& predicate,
-                         const JoinOptions& options) {
-  JoinRequest request;
-  request.left = &r;
-  request.right = &s;
-  request.scheme = &scheme;
-  request.predicate = &predicate;
-  request.mode = ExecutionMode::kBinaryJoin;
-  request.options = options;
-  return Join(request);
+  // so the runner and the spill layer only ever see explicit policies.
+  JoinRequest resolved = request;
+  resolved.options.spill.policy =
+      spill::ResolvePolicy(request.options.spill.policy);
+  return RunPlan(resolved, resolved.options.spill.policy ==
+                               SpillPolicy::kForced);
 }
 
 }  // namespace ssjoin

@@ -8,7 +8,6 @@
 
 #include "util/check.h"
 #include "util/hashing.h"
-#include "util/logging.h"
 
 namespace ssjoin {
 
@@ -265,12 +264,7 @@ void WtEnumScheme::EnumerateForThreshold(std::span<const ElementId> set,
   SequenceHasher root = seeded_root_;
   root.Add(tag);
   enumeration.Dfs(0, 0.0, std::numeric_limits<double>::infinity(), 0.0, root);
-  if (enumeration.overflowed) {
-    overflowed_ = true;
-    SSJOIN_LOG(Warn) << "WtEnum enumeration budget exhausted for a set of "
-                     << set.size()
-                     << " elements; results may miss pairs involving it";
-  }
+  if (enumeration.overflowed) overflowed_ = true;
 }
 
 void WtEnumScheme::Generate(std::span<const ElementId> set,

@@ -25,9 +25,8 @@
 //     exports (those stay in obs/export.h).
 //
 // The level vocabulary is the conventional four: debug < info < warn <
-// error. util/logging.h's SSJOIN_LOG remains for process-fatal plumbing
-// predating this layer; runtime diagnostics from the join paths go
-// through here.
+// error. This is the library's only logger: runtime diagnostics from the
+// join paths and the CLI all go through here.
 
 #pragma once
 

@@ -187,6 +187,9 @@ inline constexpr std::string_view kLogEventJoinAbort = "join_abort";
 inline constexpr std::string_view kLogEventSpillDegrade = "spill_degrade";
 inline constexpr std::string_view kLogEventSpillRetry = "spill_retry";
 inline constexpr std::string_view kLogEventApproxAlgo = "approximate_algo";
+// WtEnum ran out of its per-set enumeration budget on some set, so the
+// weighted join may miss pairs involving it (the CLI's --algo wen).
+inline constexpr std::string_view kLogEventWtEnumOverflow = "wtenum_overflow";
 inline constexpr std::string_view kLogEventProgress = "progress";
 
 // Explain-quantity names (drift accounting, obs/explain.h). The join.*

@@ -265,6 +265,13 @@ TEST(WtEnumTest, BudgetOverflowIsReportedByValidate) {
   sets.push_back(big);
   SetCollection input = SetCollection::FromVectors(sets);
   EXPECT_FALSE(scheme->Validate(input).ok());
+  // A join over the same input reports the overflow on the scheme, which
+  // is where callers (the CLI's --algo wen) look for it.
+  EXPECT_FALSE(scheme->overflowed());
+  WeightedOverlapPredicate predicate(12.0, unit);
+  JoinResult result = Join(SelfJoinRequest(input, *scheme, predicate));
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_TRUE(scheme->overflowed());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "baselines/identity_scheme.h"
 #include "core/execution_guard.h"
 #include "core/partenum_jaccard.h"
 #include "core/predicate.h"
@@ -136,6 +137,45 @@ TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
   std::string spilled = DeterministicExport(request, 1);
   EXPECT_EQ(spilled, DeterministicExport(request, 4));
   EXPECT_NE(spilled.find("\"mode\":\"pipelined_self\""), std::string::npos);
+}
+
+// The auto-spill degrade: the in-memory chain abandons its tables under
+// the memory budget and the same join reruns out-of-core. The rebuild
+// must be thread-count invariant too, and must never latch the guard.
+TEST(ObsDeterminismTest, AutoSpillDegradeExportIsThreadCountInvariant) {
+  // A huge element domain keeps candidates sparse while the posting
+  // count stays large, so the budget below fits the spilled join but
+  // not the in-memory signature table.
+  UniformSetOptions workload;
+  workload.num_sets = 2000;
+  workload.set_size = 30;
+  workload.domain_size = 1000000;
+  workload.similar_fraction = 0.1;
+  workload.mutations = 2;
+  workload.seed = 99;
+  SetCollection input = GenerateUniformSets(workload);
+  IdentityScheme scheme;
+  JaccardPredicate predicate(0.6);
+  ExecutionBudget budget;
+  budget.memory_budget_bytes = input.total_elements() * 7;
+
+  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
+                             ExecutionMode::kPipelinedSelfJoin}) {
+    std::string exports[2];
+    size_t threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      ExecutionGuard guard(budget);
+      JoinRequest request = SelfJoinRequest(input, scheme, predicate);
+      request.mode = mode;
+      request.options.guard = &guard;
+      request.options.spill.policy = SpillPolicy::kAuto;
+      exports[i] = DeterministicExport(request, threads[i]);
+      EXPECT_FALSE(guard.tripped()) << ExecutionModeName(mode);
+    }
+    EXPECT_EQ(exports[0], exports[1]) << ExecutionModeName(mode);
+    EXPECT_NE(exports[0].find("\"spill\":\"auto\""), std::string::npos)
+        << ExecutionModeName(mode);
+  }
 }
 
 TEST(ObsDeterminismTest, GuardTripSurfacesEverywhere) {

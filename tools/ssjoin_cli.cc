@@ -692,6 +692,15 @@ Status RunWeighted(Flags& flags) {
                                               min_ws, params);
     if (!scheme.ok()) return scheme.status();
     result = FacadeSelfJoin(input, *scheme, predicate, options);
+    if (scheme->overflowed()) {
+      if (logger != nullptr) {
+        obs::LogEvent(logger.get(), obs::LogLevel::kWarn, "wtenum_overflow");
+      } else {
+        std::fprintf(stderr,
+                     "note: WtEnum exhausted its enumeration budget on some "
+                     "sets; results may miss pairs involving them\n");
+      }
+    }
   } else if (algo == "wpf") {
     auto scheme =
         WeightedPrefixFilterScheme::Create(gamma, weights, input, min_ws);
