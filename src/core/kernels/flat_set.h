@@ -17,7 +17,7 @@
 //
 // Sizing: callers reserve from their duplicate estimate — the drivers
 // pre-scan their posting groups for the exact insertion count (see
-// CandidateDedup in core/ssjoin.cc, which also falls back to
+// CandidateDedup in core/driver_internal.cc, which also falls back to
 // sort+unique for shards whose table would outgrow cache) — and the
 // table grows by doubling past a 0.7 load factor regardless, so a bad
 // estimate costs rehashes, not correctness.

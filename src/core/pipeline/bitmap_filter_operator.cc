@@ -4,7 +4,6 @@
 
 #include "core/driver_internal.h"
 #include "core/execution_guard.h"
-#include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin::pipeline {
@@ -13,18 +12,16 @@ BitmapFilterOperator::BitmapFilterOperator(ExecContext* ctx, bool eager)
     : Operator(ctx, "BitmapFilter",
                std::to_string(ctx->options->bitmap_bits) + "-bit " +
                    (eager ? "eager" : "deferred"),
-               obs::names::kOpBitmapFilter),
+               obs::names::kOpBitmapFilter, &JoinStats::postfilter_seconds),
       eager_(eager) {}
 
 Status BitmapFilterOperator::Open() {
   if (!eager_) return Status::OK();
   // Pipelined discipline: rows for the whole input are built upfront
-  // (ids are known even though the index grows incrementally), inside
-  // the postfilter clock — it is verification infrastructure. The
+  // (ids are known even though the index grows incrementally). The
   // serial path builds without the pool, exactly as the serial
   // pipelined driver did.
   ExecutionGuard* guard = ctx_->guard;
-  auto scope = ctx_->telem->Time(&ctx_->result->stats.postfilter_seconds);
   if (ctx_->pool->size() == 1) {
     bitmap_l_ =
         kernels::BitmapTable::Build(*ctx_->left, ctx_->options->bitmap_bits);
@@ -42,15 +39,9 @@ Status BitmapFilterOperator::Open() {
   return Status::OK();
 }
 
-Status BitmapFilterOperator::EnsureReady() {
-  if (ready_) return Status::OK();
+void BitmapFilterOperator::EnsureReady() {
+  if (ready_) return;
   ready_ = true;
-  // Deferred discipline: the PostFilter phase opens here — it covers
-  // the table build, as the sorted/spilled drivers' phase scope did —
-  // and VerifyOperator::Close ends it after the last chunk.
-  ctx_->telem->PhaseBegin(obs::kPhasePostFilter,
-                          &ctx_->result->stats.postfilter_seconds);
-  ctx_->postfilter_phase_open = true;
   ExecutionGuard* guard = ctx_->guard;
   uint32_t bits = ctx_->options->bitmap_bits;
   bitmap_l_ = detail::BuildBitmap(*ctx_->left, bits, *ctx_->pool);
@@ -66,7 +57,6 @@ Status BitmapFilterOperator::EnsureReady() {
         bitmap_l_.size_bytes() +
         (ctx_->right != nullptr ? bitmap_r_.size_bytes() : 0));
   }
-  return Status::OK();
 }
 
 void BitmapFilterOperator::FilterChunk(CandidateChunk* chunk) {
@@ -89,18 +79,11 @@ void BitmapFilterOperator::FilterChunk(CandidateChunk* chunk) {
 
 Status BitmapFilterOperator::NextBatch(Batch* out) {
   SSJOIN_RETURN_NOT_OK(input_->Pull(out));
-  if (!eager_ && !ctx_->degrade) {
-    SSJOIN_RETURN_NOT_OK(EnsureReady());
-  }
+  if (!eager_ && !ctx_->degrade) EnsureReady();
   if (out->kind != Batch::Kind::kCandidates) return Status::OK();
   CandidateChunk& chunk = out->candidates;
   rows_in_ += chunk.packed.size();
-  if (eager_) {
-    auto scope = ctx_->telem->Time(&ctx_->result->stats.postfilter_seconds);
-    FilterChunk(&chunk);
-  } else {
-    FilterChunk(&chunk);  // the open PostFilter phase clock covers this
-  }
+  FilterChunk(&chunk);
   rows_out_ += chunk.packed.size();
   return Status::OK();
 }

@@ -6,16 +6,17 @@
 //
 //   * Deferred (sorted and spilled modes): the tables are built when the
 //     first batch (or the end of an empty stream) arrives — i.e. after
-//     candidate generation — inside the PostFilter phase, which this
-//     operator opens via JoinTelemetry::PhaseBegin (VerifyOperator's
-//     Close ends it). Self-shaped inputs alias one table for both
+//     candidate generation. Self-shaped inputs alias one table for both
 //     sides; the binary mode builds two. Guard memory is charged
 //     exactly as the drivers charged it.
 //   * Eager (pipelined mode): the table is built in Open(), before the
-//     source's first barrier, inside a timer-only scope (the pipelined
-//     drivers record no stable phase spans). The charge is added to
+//     source's first barrier. The charge is added to
 //     ctx->degrade_release_bytes so a later auto-spill degrade hands it
 //     back.
+//
+// Either way the build is verification infrastructure: it runs inside
+// this operator's Open or Pull, so it is part of the operator's
+// self-time, which counts under PostFilter.
 //
 // Per batch the operator fills chunk.bitmap_checked/bitmap_pruned and
 // compacts chunk.packed to the survivors, preserving candidate order.
@@ -34,7 +35,7 @@ class BitmapFilterOperator : public Operator {
  public:
   /// `eager` selects the pipelined build discipline (table built in
   /// Open); deferred is the sorted/spilled discipline (built with the
-  /// first batch, inside the PostFilter phase this operator opens).
+  /// first batch).
   BitmapFilterOperator(ExecContext* ctx, bool eager);
 
   Status Open() override;
@@ -42,7 +43,7 @@ class BitmapFilterOperator : public Operator {
   void Close() override;
 
  private:
-  Status EnsureReady();
+  void EnsureReady();
   void FilterChunk(CandidateChunk* chunk);
 
   bool eager_;

@@ -93,35 +93,31 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
   }
 
   size_t shards = pool.size();
-  {
-    auto scope =
-        ctx_->telem->Phase(obs::kPhaseCandPair, &stats.candpair_seconds);
-    size_t reserve = options.table_reserve / shards;
-    std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
-    if (!binary) {
-      std::vector<std::vector<Posting>> buckets =
-          BucketPostings(*table_l, pool, guard);
-      candidates_ = detail::GenerateCandidates(
-          pool,
-          [&](size_t shard) {
-            return detail::SelfJoinShard(
-                ShardPostings(buckets, shards, shard), reserve, stop);
-          },
-          stop, &stats, ctx_->telem);
-    } else {
-      std::vector<std::vector<Posting>> buckets_r =
-          BucketPostings(*table_l, pool, guard);
-      std::vector<std::vector<Posting>> buckets_s =
-          BucketPostings(*table_r, pool, guard);
-      candidates_ = detail::GenerateCandidates(
-          pool,
-          [&](size_t shard) {
-            return detail::BinaryJoinShard(
-                ShardPostings(buckets_r, shards, shard),
-                ShardPostings(buckets_s, shards, shard), reserve, stop);
-          },
-          stop, &stats, ctx_->telem);
-    }
+  size_t reserve = options.table_reserve / shards;
+  std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
+  if (!binary) {
+    std::vector<std::vector<Posting>> buckets =
+        BucketPostings(*table_l, pool, guard);
+    candidates_ = detail::GenerateCandidates(
+        pool,
+        [&](size_t shard) {
+          return detail::SelfJoinShard(ShardPostings(buckets, shards, shard),
+                                       reserve, stop);
+        },
+        stop, &stats, ctx_->telem);
+  } else {
+    std::vector<std::vector<Posting>> buckets_r =
+        BucketPostings(*table_l, pool, guard);
+    std::vector<std::vector<Posting>> buckets_s =
+        BucketPostings(*table_r, pool, guard);
+    candidates_ = detail::GenerateCandidates(
+        pool,
+        [&](size_t shard) {
+          return detail::BinaryJoinShard(
+              ShardPostings(buckets_r, shards, shard),
+              ShardPostings(buckets_s, shards, shard), reserve, stop);
+        },
+        stop, &stats, ctx_->telem);
   }
   if (guard != nullptr && guard->tripped()) {
     // Stopped mid-CandGen: its counters are partial garbage, drop them.
@@ -129,7 +125,6 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
     stats.candidates = 0;
     return guard->trip_status();
   }
-  ctx_->telem->PhaseAttr("candidates", stats.candidates);
   if (guard != nullptr) {
     guard->ChargeMemory(candidates_.size() * sizeof(uint64_t));
   }

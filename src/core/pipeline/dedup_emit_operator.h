@@ -7,6 +7,8 @@
 // emits in discovery order, so `sort_on_end` replays the legacy drivers'
 // final std::sort when the end batch arrives (skipped on an auto-spill
 // degrade: the spilled rerun's own plan emits the pairs).
+// Its self-time counts under PostFilter — or under CandPair when
+// verification is off and the sink only drains the candidate source.
 
 #pragma once
 
@@ -18,7 +20,9 @@ class DedupEmitOperator : public Operator {
  public:
   DedupEmitOperator(ExecContext* ctx, bool sort_on_end)
       : Operator(ctx, "DedupEmit", sort_on_end ? "sort" : "append",
-                 obs::names::kOpDedupEmit),
+                 obs::names::kOpDedupEmit,
+                 ctx->options->verify ? &JoinStats::postfilter_seconds
+                                      : &JoinStats::candpair_seconds),
         sort_on_end_(sort_on_end) {}
 
   Status NextBatch(Batch* out) override;

@@ -8,22 +8,28 @@
 namespace ssjoin::pipeline {
 
 void Operator::Close() {
+  ctx_->result->stats.*phase_ += static_cast<double>(inst_.self_ns()) / 1e9;
   inst_.FinishCounts(rows_in_, rows_out_);
   obs::ExplainReport* explain = ctx_->options->explain;
   if (explain == nullptr) return;
   explain->plan.push_back({name_, detail_, rows_in_, rows_out_});
-  if (!tag_.empty()) {
-    // Per-operator actual for the drift table: what actually flowed out
-    // of this operator (deterministic — same rows at any thread count).
-    std::string drift_name(obs::names::kPipelinePrefix);
-    drift_name += tag_;
-    drift_name += obs::names::kPipelineSuffixRowsOut;
-    explain->Actual(drift_name, static_cast<double>(rows_out_));
-  }
+  // Per-operator actual for the drift table: what actually flowed out of
+  // this operator (deterministic — same rows at any thread count).
+  std::string drift_name(obs::names::kPipelinePrefix);
+  drift_name += tag_;
+  drift_name += obs::names::kPipelineSuffixRowsOut;
+  explain->Actual(drift_name, static_cast<double>(rows_out_));
+}
+
+Status Operator::TimedOpen() {
+  const int64_t start_ns = inst_.NowNs();
+  Status status = Open();
+  inst_.RecordPull(start_ns, /*nested_ns=*/0, /*produced=*/false, rows_in_,
+                   rows_out_);
+  return status;
 }
 
 Status Operator::Pull(Batch* out) {
-  if (!inst_.enabled()) return NextBatch(out);
   const uint64_t nested_before =
       input_ != nullptr ? input_->inst_.inclusive_ns() : 0;
   const int64_t start_ns = inst_.NowNs();
@@ -47,14 +53,12 @@ Status Plan::Run() {
   // The executed plan replaces any previous join's tree (accumulated
   // explain reports show the last plan; see obs/explain.h).
   if (ctx_->options->explain != nullptr) ctx_->options->explain->plan.clear();
-  if (ctx_->telem != nullptr && ctx_->telem->metrics() != nullptr) {
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      ops_[i]->BindInstrument(ctx_->telem, static_cast<uint32_t>(i));
-    }
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    ops_[i]->BindInstrument(ctx_->telem, static_cast<uint32_t>(i));
   }
   Status status;
   for (std::unique_ptr<Operator>& op : ops_) {
-    status = op->Open();
+    status = op->TimedOpen();
     if (!status.ok()) break;
   }
   if (status.ok()) {

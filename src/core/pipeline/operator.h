@@ -5,32 +5,31 @@
 // sink-first (Volcano style, one Batch at a time). The one runner in
 // core/ssjoin.cc builds its chain with BuildPlan
 // (core/pipeline/plan_builder.h); the phase logic — guard checkpoints,
-// telemetry spans, stats commits — lives in exactly one operator each.
+// stats commits — lives in exactly one operator each.
 //
 // Cross-cutting concerns attach ONCE here at the base:
 //
+//   * Timing (DESIGN.md Section 14): Pull() and the Open() before it are
+//     the run's only clock. Close() adds the operator's self-time (its
+//     obs::OpInstrument) into its one JoinStats phase field.
+//   * Telemetry: Plan::Run() binds each instrument to the run's sinks —
+//     pipeline.<tag>.* counters with a MetricsRegistry, one kStable span
+//     per operator (with rows_in/rows_out) with a Tracer. Close() also
+//     feeds the final rows_out into EXPLAIN's drift table.
 //   * ExplainReport plan tree: Operator::Close() records one PlanOp
 //     (name, detail, rows in/out) per operator, in chain order. Row
 //     counts must be derived from deterministic stats (signatures,
 //     candidates, results) — never batch counts, which vary with
 //     scheduling.
-//   * Per-operator runtime metrics (DESIGN.md Section 14): when the run
-//     has a MetricsRegistry, Plan::Run() binds each operator's
-//     obs::OpInstrument and the pull loop goes through Pull(), which
-//     wraps NextBatch() with pipeline.<tag>.{batches,rows_in,rows_out,
-//     ns} accounting and a kRuntime span per operator. Without a
-//     registry Pull() is a single branch (null-sink contract). Close()
-//     also feeds the final rows_out into EXPLAIN's drift table as the
-//     operator's actual.
 //   * Lifecycle: Plan::Run() opens source-first, pulls the sink to
 //     exhaustion or error, and closes every operator on every exit path
 //     (Close must be safe after a failed or skipped Open).
 //
-// Contract (enforced by the `operator-contract` AST-lint rule): every
-// Operator subclass overrides Close() and finishes it with
-// Operator::Close(); operators never read clocks directly (they go
-// through the JoinTelemetry seams) and never emit unregistered metric
-// names.
+// Contract: every Operator subclass overrides Close() and finishes it
+// with Operator::Close() (the `operator-contract` AST-lint rule);
+// operators never read clocks, pull their input only via input_->Pull
+// (NextBatch would bypass the clock and drop the input's time from
+// JoinStats) and never emit unregistered metric names.
 //
 // Thread-safety: operators run on the control thread; they fan work out
 // through ParallelFor/RunOnAll internally, exactly as the drivers did.
@@ -80,12 +79,11 @@ struct ExecContext {
   /// releases it before the rerun (the spilled join accounts its own
   /// footprint from zero).
   size_t degrade_release_bytes = 0;
-  /// True once the manual PostFilter phase is open (the phase spans
-  /// several pulls, so whichever of BitmapFilterOperator /
-  /// VerifyOperator sees the first batch opens it; VerifyOperator's
-  /// Close ends it).
-  bool postfilter_phase_open = false;
 };
+
+/// The JoinStats field an operator's self-time adds into: its paper
+/// phase (Figure 2).
+using PhaseSeconds = double JoinStats::*;
 
 class Operator {
  public:
@@ -102,23 +100,27 @@ class Operator {
   /// Status aborts it (guard trips surface here).
   virtual Status NextBatch(Batch* out) = 0;
 
-  /// Tears down and records this operator's PlanOp into the explain
-  /// report, flushes the instrument (final row totals, span close), and
-  /// records the operator's rows_out as an EXPLAIN drift actual. Runs on
-  /// every exit path, including after a failed Open or an aborted pull
-  /// loop. Subclasses MUST override (the operator-contract lint rule)
-  /// and end with Operator::Close().
+  /// Tears down, adds the operator's self-time into its JoinStats phase
+  /// field, records this operator's PlanOp into the explain report,
+  /// flushes the instrument (final row totals, span close), and records
+  /// the operator's rows_out as an EXPLAIN drift actual. Runs on every
+  /// exit path, including after a failed Open or an aborted pull loop.
+  /// Subclasses MUST override (the operator-contract lint rule) and end
+  /// with Operator::Close().
   virtual void Close();
 
-  /// Instrumented pull: callers (the downstream operator and Plan::Run)
-  /// use this, never NextBatch directly. Uninstrumented it is one
-  /// branch + tail call; instrumented it accounts the pull into the
-  /// pipeline.<tag>.* counters with self-time attribution.
+  /// Timed pull: callers (the downstream operator and Plan::Run) use
+  /// this, never NextBatch directly. Charges the operator its self-time
+  /// (the elapsed time minus the nested input pulls) and, when bound,
+  /// the pipeline.<tag>.* counters.
   Status Pull(Batch* out);
 
-  /// Binds the per-operator instrument to the run's telemetry (called
-  /// once by Plan::Run before Open when a MetricsRegistry is attached;
-  /// `lane` is the operator's chain position).
+  /// Open() under the same clock as Pull (Plan::Run's open pass).
+  Status TimedOpen();
+
+  /// Binds the per-operator instrument to the run's sinks (called once
+  /// by Plan::Run before the open pass; `lane` is the operator's chain
+  /// position).
   void BindInstrument(obs::JoinTelemetry* telemetry, uint32_t lane) {
     inst_.Bind(telemetry, tag_, lane);
   }
@@ -127,13 +129,13 @@ class Operator {
   const std::string& name() const { return name_; }
 
  protected:
-  /// `tag` is the operator's stable metric tag (a names::kOp* constant
-  /// from obs/stability.h); empty means "not instrumented" (test-only
-  /// operators).
+  /// `tag` is the operator's stable metric tag and span name (a
+  /// names::kOp* constant from obs/stability.h); `phase` the JoinStats
+  /// field its self-time counts under.
   Operator(ExecContext* ctx, std::string name, std::string detail,
-           std::string_view tag = {})
+           std::string_view tag, PhaseSeconds phase)
       : ctx_(ctx), name_(std::move(name)), detail_(std::move(detail)),
-        tag_(tag) {}
+        tag_(tag), phase_(phase) {}
 
   ExecContext* ctx_;
   Operator* input_ = nullptr;
@@ -145,7 +147,8 @@ class Operator {
  private:
   std::string name_;
   std::string detail_;
-  std::string_view tag_;  // static-storage names:: constant (or empty)
+  std::string_view tag_;  // static-storage names:: constant
+  PhaseSeconds phase_;
   obs::OpInstrument inst_;
 };
 

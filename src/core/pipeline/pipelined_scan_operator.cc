@@ -89,45 +89,35 @@ void PipelinedScanOperator::SerialGroup(Batch* out) {
   const SetCollection& input = *ctx_->left;
   const SignatureScheme& scheme = *ctx_->scheme;
   JoinStats& stats = ctx_->result->stats;
-  obs::JoinTelemetry& telem = *ctx_->telem;
   CandidateChunk& chunk = out->candidates;
   chunk.start_offset = static_cast<size_t>(stats.candidates);
   const SetId end = static_cast<SetId>(
       std::min<size_t>(input.size(), next_ + kSerialGroupSets));
   for (SetId id = next_; id < end; ++id) {
-    {
-      auto scope = telem.Time(&stats.siggen_seconds);
-      detail::GenerateSorted(scheme, input.set(id), &sigs_);
-      stats.signatures_r += sigs_.size();
+    detail::GenerateSorted(scheme, input.set(id), &sigs_);
+    stats.signatures_r += sigs_.size();
+    probe_candidates_.clear();
+    for (Signature sig : sigs_) {
+      auto it = index_.find(sig);
+      if (it == index_.end()) continue;
+      stats.signature_collisions += it->second.size();
+      probe_candidates_.insert(probe_candidates_.end(), it->second.begin(),
+                               it->second.end());
     }
-    {
-      auto scope = telem.Time(&stats.candpair_seconds);
-      probe_candidates_.clear();
-      for (Signature sig : sigs_) {
-        auto it = index_.find(sig);
-        if (it == index_.end()) continue;
-        stats.signature_collisions += it->second.size();
-        probe_candidates_.insert(probe_candidates_.end(), it->second.begin(),
-                                 it->second.end());
-      }
-      std::sort(probe_candidates_.begin(), probe_candidates_.end());
-      probe_candidates_.erase(
-          std::unique(probe_candidates_.begin(), probe_candidates_.end()),
-          probe_candidates_.end());
-      stats.candidates += probe_candidates_.size();
-    }
+    std::sort(probe_candidates_.begin(), probe_candidates_.end());
+    probe_candidates_.erase(
+        std::unique(probe_candidates_.begin(), probe_candidates_.end()),
+        probe_candidates_.end());
+    stats.candidates += probe_candidates_.size();
     if (ctx_->options->verify) {
       for (SetId partner : probe_candidates_) {
         chunk.packed.push_back(PackPair(partner, id));
       }
     }
-    {
-      // Index append: verification never reads the index and probes only
-      // see smaller ids, so appending here (before the downstream verify
-      // of this unit) changes nothing a probe can observe.
-      auto scope = telem.Time(&stats.siggen_seconds);
-      for (Signature sig : sigs_) index_[sig].push_back(id);
-    }
+    // Index append: verification never reads the index and probes only
+    // see smaller ids, so appending here (before the downstream verify
+    // of this unit) changes nothing a probe can observe.
+    for (Signature sig : sigs_) index_[sig].push_back(id);
   }
   rows_in_ += end - next_;
   next_ = end;
@@ -137,7 +127,6 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
   const SetCollection& input = *ctx_->left;
   const SignatureScheme& scheme = *ctx_->scheme;
   JoinStats& stats = ctx_->result->stats;
-  obs::JoinTelemetry& telem = *ctx_->telem;
   ThreadPool& pool = *ctx_->pool;
   CandidateChunk& chunk = out->candidates;
   chunk.start_offset = static_cast<size_t>(stats.candidates);
@@ -146,67 +135,61 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
   const size_t b0 = next_;
   const size_t b1 = std::min(static_cast<size_t>(input.size()), b0 + block);
   const size_t n = b1 - b0;
-  auto block_sample = telem.Sample("block", block_micros_);
+  auto block_sample = ctx_->telem->Sample("block", block_micros_);
   block_sigs_.assign(n, {});
-  {
-    auto scope = telem.Time(&stats.siggen_seconds);
-    std::vector<uint64_t> counts(chunks, 0);
-    ParallelFor(pool, n, [&](size_t begin, size_t end, size_t c) {
-      uint64_t count = 0;
-      for (size_t i = begin; i < end; ++i) {
-        detail::GenerateSorted(scheme, input.set(static_cast<SetId>(b0 + i)),
-                               &block_sigs_[i]);
-        count += block_sigs_[i].size();
-      }
-      counts[c] = count;
-    });
-    for (uint64_t count : counts) stats.signatures_r += count;
-  }
+  std::vector<uint64_t> counts(chunks, 0);
+  ParallelFor(pool, n, [&](size_t begin, size_t end, size_t c) {
+    uint64_t count = 0;
+    for (size_t i = begin; i < end; ++i) {
+      detail::GenerateSorted(scheme, input.set(static_cast<SetId>(b0 + i)),
+                             &block_sigs_[i]);
+      count += block_sigs_[i].size();
+    }
+    counts[c] = count;
+  });
+  for (uint64_t count : counts) stats.signatures_r += count;
   block_partners_.assign(n, {});
-  {
-    auto scope = telem.Time(&stats.candpair_seconds);
-    block_postings_.clear();
-    for (size_t i = 0; i < n; ++i) {
+  block_postings_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    for (Signature sig : block_sigs_[i]) {
+      block_postings_.emplace_back(sig, static_cast<SetId>(b0 + i));
+    }
+  }
+  std::sort(block_postings_.begin(), block_postings_.end());
+  std::vector<uint64_t> collisions(chunks, 0);
+  std::vector<uint64_t> candidates(chunks, 0);
+  ParallelFor(pool, n, [&](size_t begin, size_t end, size_t c) {
+    uint64_t hits = 0, kept = 0;
+    for (size_t i = begin; i < end; ++i) {
+      SetId id = static_cast<SetId>(b0 + i);
+      std::vector<SetId>& partners = block_partners_[i];
       for (Signature sig : block_sigs_[i]) {
-        block_postings_.emplace_back(sig, static_cast<SetId>(b0 + i));
-      }
-    }
-    std::sort(block_postings_.begin(), block_postings_.end());
-    std::vector<uint64_t> collisions(chunks, 0);
-    std::vector<uint64_t> candidates(chunks, 0);
-    ParallelFor(pool, n, [&](size_t begin, size_t end, size_t c) {
-      uint64_t hits = 0, kept = 0;
-      for (size_t i = begin; i < end; ++i) {
-        SetId id = static_cast<SetId>(b0 + i);
-        std::vector<SetId>& partners = block_partners_[i];
-        for (Signature sig : block_sigs_[i]) {
-          auto it = index_.find(sig);
-          if (it != index_.end()) {
-            hits += it->second.size();
-            partners.insert(partners.end(), it->second.begin(),
-                            it->second.end());
-          }
-          for (auto p = std::lower_bound(block_postings_.begin(),
-                                         block_postings_.end(),
-                                         detail::Posting(sig, 0));
-               p != block_postings_.end() && p->first == sig && p->second < id;
-               ++p) {
-            partners.push_back(p->second);
-            ++hits;
-          }
+        auto it = index_.find(sig);
+        if (it != index_.end()) {
+          hits += it->second.size();
+          partners.insert(partners.end(), it->second.begin(),
+                          it->second.end());
         }
-        std::sort(partners.begin(), partners.end());
-        partners.erase(std::unique(partners.begin(), partners.end()),
-                       partners.end());
-        kept += partners.size();
+        for (auto p = std::lower_bound(block_postings_.begin(),
+                                       block_postings_.end(),
+                                       detail::Posting(sig, 0));
+             p != block_postings_.end() && p->first == sig && p->second < id;
+             ++p) {
+          partners.push_back(p->second);
+          ++hits;
+        }
       }
-      collisions[c] = hits;
-      candidates[c] = kept;
-    });
-    for (size_t c = 0; c < chunks; ++c) {
-      stats.signature_collisions += collisions[c];
-      stats.candidates += candidates[c];
+      std::sort(partners.begin(), partners.end());
+      partners.erase(std::unique(partners.begin(), partners.end()),
+                     partners.end());
+      kept += partners.size();
     }
+    collisions[c] = hits;
+    candidates[c] = kept;
+  });
+  for (size_t c = 0; c < chunks; ++c) {
+    stats.signature_collisions += collisions[c];
+    stats.candidates += candidates[c];
   }
   if (ctx_->options->verify) {
     for (size_t i = 0; i < n; ++i) {
@@ -216,12 +199,9 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
       }
     }
   }
-  {
-    auto scope = telem.Time(&stats.siggen_seconds);
-    for (size_t i = 0; i < n; ++i) {
-      for (Signature sig : block_sigs_[i]) {
-        index_[sig].push_back(static_cast<SetId>(b0 + i));
-      }
+  for (size_t i = 0; i < n; ++i) {
+    for (Signature sig : block_sigs_[i]) {
+      index_[sig].push_back(static_cast<SetId>(b0 + i));
     }
   }
   rows_in_ += n;

@@ -25,9 +25,11 @@
 // ctx->degrade_release_bytes, and ends the stream; the runner reruns
 // out of core.
 //
-// This mode records no stable phase spans — the serial and block
-// executions differ in loop structure, and the deterministic export must
-// not see that. Phase seconds accumulate via timer-only scopes; the
+// Signature generation and probing interleave per set, so the whole
+// operator — index build included — counts under CandPair: its
+// self-time is the join's candpair_seconds and siggen_seconds stays 0.
+// Its operator span is stable (the chain is the same at every thread
+// count); the serial and block loops differ only below it, where the
 // block variant emits per-block kRuntime samples.
 
 #pragma once
@@ -45,7 +47,7 @@ class PipelinedScanOperator : public Operator {
  public:
   explicit PipelinedScanOperator(ExecContext* ctx)
       : Operator(ctx, "PipelinedScan", "inverted index",
-                 obs::names::kOpPipelinedScan) {}
+                 obs::names::kOpPipelinedScan, &JoinStats::candpair_seconds) {}
 
   Status Open() override;
   Status NextBatch(Batch* out) override;

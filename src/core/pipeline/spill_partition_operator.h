@@ -6,7 +6,10 @@
 // streams the merged, globally sorted candidate vector out in verify
 // super-chunks. Guard trips are final; exhausted retries surrender with
 // the completed-signature counts but no candidate accounting, exactly
-// like the legacy spilled driver.
+// like the legacy spilled driver. Partitioning interleaves signature
+// generation with candidate generation, so the operator's self-time —
+// every attempt, failed ones included — counts under CandPair and
+// siggen_seconds stays 0.
 
 #pragma once
 
@@ -22,7 +25,7 @@ class SpillPartitionOperator : public Operator {
  public:
   explicit SpillPartitionOperator(ExecContext* ctx)
       : Operator(ctx, "SpillPartition", "partitioned",
-                 obs::names::kOpSpillPartition) {}
+                 obs::names::kOpSpillPartition, &JoinStats::candpair_seconds) {}
 
   Status NextBatch(Batch* out) override;
   void Close() override;

@@ -147,11 +147,11 @@ namespace internal {
 
 // One spill attempt at a fixed partition count: write both sides, then
 // run candidate generation partition by partition and merge. Fills
-// `stats` (phase seconds, signature/collision/candidate counters, spill
-// byte counters — always, so failed attempts still account their I/O)
-// and `*candidates` (only valid on OK). The attempt's temp directory and
-// guard charges are released on every path; the merged candidate vector
-// is the only thing that escapes.
+// `stats` (signature/collision/candidate counters, spill byte counters —
+// always, so failed attempts still account their I/O) and `*candidates`
+// (only valid on OK). The attempt's temp directory and guard charges are
+// released on every path; the merged candidate vector is the only thing
+// that escapes.
 Status RunAttempt(const SetCollection& left, const SetCollection* right,
                   const SignatureScheme& scheme, const JoinOptions& options,
                   uint32_t partitions, ThreadPool& pool,
@@ -163,18 +163,13 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
 
   std::vector<SpillFileWriter> writers_l;
   std::vector<SpillFileWriter> writers_r;
-  Status write_status;
   uint64_t signatures_l = 0;
   uint64_t signatures_r = 0;
-  {
-    auto scope = telem.Phase(obs::kPhaseSigGen, &stats->siggen_seconds);
-    write_status = WriteSide(left, scheme, pool, guard, &ledger, partitions,
-                             tmp, "part-r-", &writers_l, &signatures_l);
-    if (write_status.ok() && right != nullptr) {
-      write_status = WriteSide(*right, scheme, pool, guard, &ledger,
-                               partitions, tmp, "part-s-", &writers_r,
-                               &signatures_r);
-    }
+  Status write_status = WriteSide(left, scheme, pool, guard, &ledger, partitions,
+                           tmp, "part-r-", &writers_l, &signatures_l);
+  if (write_status.ok() && right != nullptr) {
+    write_status = WriteSide(*right, scheme, pool, guard, &ledger, partitions,
+                             tmp, "part-s-", &writers_r, &signatures_r);
   }
   // Bytes any writer durably handed off count into the attempt's I/O
   // accounting even when the stage failed mid-file.
@@ -182,9 +177,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   SSJOIN_RETURN_NOT_OK(write_status);
   stats->signatures_r = signatures_l;
   stats->signatures_s = right != nullptr ? signatures_r : signatures_l;
-  telem.PhaseAttr("signatures",
-                  stats->signatures_r +
-                      (right != nullptr ? stats->signatures_s : 0));
   if (guard != nullptr) {
     // Deterministic post-write barrier: the disk-budget check sees the
     // attempt's full footprint here, and injected kCandGen trips land
@@ -194,7 +186,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
 
-  auto scope = telem.Phase(obs::kPhaseCandPair, &stats->candpair_seconds);
   const size_t shards = pool.size();
   const size_t reserve = options.table_reserve / shards;
   std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);

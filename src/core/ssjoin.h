@@ -120,11 +120,12 @@ struct JoinOptions {
   /// that never trips leaves the output byte-identical to an unguarded
   /// run. nullptr = no guardrails (zero overhead).
   ExecutionGuard* guard = nullptr;
-  /// Optional span sink (DESIGN.md Section 8). When set, the driver
-  /// records a join → phase span skeleton plus runtime shard/chunk
-  /// detail into it. Not owned; must outlive the call. nullptr = no
-  /// tracing (the null-sink default, within measurement noise of the
-  /// pre-observability driver).
+  /// Optional span sink (DESIGN.md Section 8). When set, the join
+  /// records a join → operator span skeleton (one span per pipeline
+  /// operator, carrying its rows_in/rows_out) plus runtime
+  /// shard/chunk/block detail into it. Not owned; must outlive the call.
+  /// nullptr = no tracing (the null-sink default, within measurement
+  /// noise of the pre-observability driver).
   obs::Tracer* tracer = nullptr;
   /// Optional metrics sink: signature/candidate/result counters, dedup
   /// ratio, per-shard and verify-chunk histograms, guard trip causes.
@@ -168,6 +169,10 @@ Status ValidateJoinOptions(const JoinOptions& options);
 /// Evaluation measures of one join execution (paper Section 3.2).
 struct JoinStats {
   // Phase wall-clock seconds (the stacked bars of Figures 12/18/19).
+  // Join() sums its operators' self-times by phase (DESIGN.md Section
+  // 14). Pipelined and spilled runs generate signatures inside their
+  // CandPair source, so they report siggen_seconds = 0 with that work
+  // inside candpair_seconds; verify == false leaves postfilter 0.
   double siggen_seconds = 0;
   double candpair_seconds = 0;
   double postfilter_seconds = 0;

@@ -91,22 +91,15 @@ Result<JoinResult> StringSimilaritySelfJoin(
 
   // Phase 1 (Figure 16): grams + signatures, "on-the-fly, in
   // application-level code". Gram extraction is part of SigGen.
-  SetCollection bags;
-  {
-    auto scope =
-        telem.Time(&result.stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    bags = extractor.ExtractAllAsBags(strings);
-  }
-
-  SSJOIN_ASSIGN_OR_RETURN(
-      std::unique_ptr<SignatureScheme> scheme,
-      MakeScheme(options, hamming_k, bags, /*s_bags=*/nullptr));
-
   std::vector<std::pair<Signature, SetId>> postings;
   {
     auto scope =
         telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
+    QgramExtractor extractor(QgramOptions{.q = options.q});
+    SetCollection bags = extractor.ExtractAllAsBags(strings);
+    SSJOIN_ASSIGN_OR_RETURN(
+        std::unique_ptr<SignatureScheme> scheme,
+        MakeScheme(options, hamming_k, bags, /*s_bags=*/nullptr));
     postings = BuildPostings(bags, *scheme, &result.stats.signatures_r);
     result.stats.signatures_s = result.stats.signatures_r;
   }
@@ -170,23 +163,17 @@ Result<JoinResult> StringSimilarityJoin(
   uint32_t hamming_k =
       QgramHammingThreshold(options.q, options.edit_threshold);
 
-  SetCollection r_bags, s_bags;
-  {
-    auto scope =
-        telem.Time(&result.stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    r_bags = extractor.ExtractAllAsBags(r_strings);
-    s_bags = extractor.ExtractAllAsBags(s_strings);
-  }
-
-  SSJOIN_ASSIGN_OR_RETURN(
-      std::unique_ptr<SignatureScheme> scheme,
-      MakeScheme(options, hamming_k, r_bags, &s_bags));
-
+  // Gram extraction is part of SigGen, as in the self-join.
   std::vector<std::pair<Signature, SetId>> postings_r, postings_s;
   {
     auto scope =
         telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
+    QgramExtractor extractor(QgramOptions{.q = options.q});
+    SetCollection r_bags = extractor.ExtractAllAsBags(r_strings);
+    SetCollection s_bags = extractor.ExtractAllAsBags(s_strings);
+    SSJOIN_ASSIGN_OR_RETURN(
+        std::unique_ptr<SignatureScheme> scheme,
+        MakeScheme(options, hamming_k, r_bags, &s_bags));
     postings_r =
         BuildPostings(r_bags, *scheme, &result.stats.signatures_r);
     postings_s =

@@ -33,28 +33,6 @@ JoinTelemetry::PhaseScope JoinTelemetry::Phase(std::string_view name,
   return PhaseScope(this, seconds, span);
 }
 
-JoinTelemetry::PhaseScope JoinTelemetry::Time(double* seconds) {
-  return PhaseScope(this, seconds, kNoSpan);
-}
-
-void JoinTelemetry::PhaseBegin(std::string_view name, double* seconds) {
-  manual_seconds_ = seconds;
-  manual_span_ = kNoSpan;
-  if (tracer_ != nullptr && !name.empty()) {
-    manual_span_ = tracer_->StartSpan(name, root_, Stability::kStable);
-    phase_span_ = manual_span_;
-  }
-  manual_watch_.Restart();
-}
-
-void JoinTelemetry::PhaseEnd() {
-  if (manual_seconds_ == nullptr) return;
-  *manual_seconds_ += manual_watch_.ElapsedSeconds();
-  if (manual_span_ != kNoSpan) tracer_->EndSpan(manual_span_);
-  manual_span_ = kNoSpan;
-  manual_seconds_ = nullptr;
-}
-
 void JoinTelemetry::PhaseAttr(std::string_view key, uint64_t value) {
   if (tracer_ != nullptr && phase_span_ != kNoSpan) {
     tracer_->SetAttr(phase_span_, key, value);
@@ -115,31 +93,27 @@ void JoinTelemetry::SetGauge(std::string_view name, double value,
 
 void OpInstrument::Bind(JoinTelemetry* telemetry, std::string_view tag,
                         uint32_t lane) {
-  if (telemetry == nullptr || telemetry->metrics() == nullptr ||
-      tag.empty()) {
-    return;
+  if (telemetry == nullptr) return;
+  if (MetricsRegistry* metrics = telemetry->metrics()) {
+    auto counter = [&](std::string_view suffix, Stability stability) {
+      return &metrics->counter(
+          std::string(names::kPipelinePrefix) + std::string(tag) +
+              std::string(suffix),
+          stability);
+    };
+    // Row totals are functions of the input and plan — stable. Batch
+    // granularity and self-time vary with thread count and the wall
+    // clock — runtime (see obs/stability.h).
+    batches_ = counter(names::kPipelineSuffixBatches, Stability::kRuntime);
+    rows_in_ = counter(names::kPipelineSuffixRowsIn, Stability::kStable);
+    rows_out_ = counter(names::kPipelineSuffixRowsOut, Stability::kStable);
+    self_ns_ = counter(names::kPipelineSuffixNs, Stability::kRuntime);
   }
-  MetricsRegistry* metrics = telemetry->metrics();
-  std::string base(names::kPipelinePrefix);
-  base += tag;
-  // Row totals are functions of the input and plan — stable. Batch
-  // granularity and self-time vary with thread count and the wall
-  // clock — runtime (see obs/stability.h).
-  batches_ = &metrics->counter(base + std::string(names::kPipelineSuffixBatches),
-                               Stability::kRuntime);
-  rows_in_ = &metrics->counter(base + std::string(names::kPipelineSuffixRowsIn),
-                               Stability::kStable);
-  rows_out_ =
-      &metrics->counter(base + std::string(names::kPipelineSuffixRowsOut),
-                        Stability::kStable);
-  self_ns_ = &metrics->counter(base + std::string(names::kPipelineSuffixNs),
-                               Stability::kRuntime);
-  inclusive_ns_ = 0;
-  published_rows_in_ = 0;
-  published_rows_out_ = 0;
   tracer_ = telemetry->tracer();
   if (tracer_ != nullptr) {
-    span_ = tracer_->StartSpan(tag, telemetry->root(), Stability::kRuntime,
+    // The operator chain is a function of the plan, not of the thread
+    // count, so operator spans are the stable skeleton under the root.
+    span_ = tracer_->StartSpan(tag, telemetry->root(), Stability::kStable,
                                lane);
   }
 }
@@ -155,9 +129,16 @@ void OpInstrument::RecordPull(int64_t start_ns, uint64_t nested_ns,
                               uint64_t rows_out) {
   const uint64_t elapsed =
       static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - start_ns));
+  const uint64_t self = elapsed >= nested_ns ? elapsed - nested_ns : 0;
   inclusive_ns_ += elapsed;
-  self_ns_->Add(elapsed >= nested_ns ? elapsed - nested_ns : 0);
+  self_ns_total_ += self;
+  if (!enabled()) return;
+  self_ns_->Add(self);
   if (produced) batches_->Add();
+  PublishRows(rows_in, rows_out);
+}
+
+void OpInstrument::PublishRows(uint64_t rows_in, uint64_t rows_out) {
   if (rows_in > published_rows_in_) {
     rows_in_->Add(rows_in - published_rows_in_);
     published_rows_in_ = rows_in;
@@ -169,16 +150,10 @@ void OpInstrument::RecordPull(int64_t start_ns, uint64_t nested_ns,
 }
 
 void OpInstrument::FinishCounts(uint64_t rows_in, uint64_t rows_out) {
-  if (!enabled()) return;
-  if (rows_in > published_rows_in_) {
-    rows_in_->Add(rows_in - published_rows_in_);
-    published_rows_in_ = rows_in;
-  }
-  if (rows_out > published_rows_out_) {
-    rows_out_->Add(rows_out - published_rows_out_);
-    published_rows_out_ = rows_out;
-  }
-  if (tracer_ != nullptr && span_ != kNoSpan) {
+  if (enabled()) PublishRows(rows_in, rows_out);
+  if (span_ != kNoSpan) {
+    tracer_->SetAttr(span_, names::kAttrRowsIn, rows_in);
+    tracer_->SetAttr(span_, names::kAttrRowsOut, rows_out);
     tracer_->EndSpan(span_);
     span_ = kNoSpan;
   }

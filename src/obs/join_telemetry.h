@@ -1,20 +1,23 @@
 // Per-join instrumentation handle: the one seam through which the join
-// drivers time phases, open spans, and publish metrics.
+// drivers open spans and publish metrics.
 //
 // JoinTelemetry wraps an optional Tracer and an optional MetricsRegistry
 // (either or both may be null — the null-sink default). Its contract:
 //
 //   * Null sinks cost nothing: every call is a branch on a null pointer;
-//     no allocation, no locking, no clock reads beyond the phase timing
-//     the drivers always did (JoinStats seconds). The zero-allocation
-//     property is enforced by tests/obs.
-//   * Phase timing feeds JoinStats directly: Phase()/Time() scopes
-//     accumulate elapsed seconds into a caller-owned double, replacing
-//     the raw PhaseTimer plumbing that used to live in src/core (the
-//     `no-raw-timing` lint rule keeps it out).
-//   * Stable vs runtime recording: Phase() opens kStable spans (the
-//     deterministic join → phase skeleton); Sample() opens kRuntime
-//     spans for shard/chunk/block detail and feeds latency histograms.
+//     no allocation, no locking, no clock reads beyond the timing that
+//     feeds JoinStats seconds. The zero-allocation property is enforced
+//     by tests/obs.
+//   * One timing vocabulary: a Join() run is timed only by
+//     Operator::Pull through OpInstrument below. Phase() serves the
+//     drivers that are not operator chains (core/string_join,
+//     relational/sql_ssjoin): its scope adds elapsed seconds to a
+//     caller-owned double and opens a Figure 2 phase span. Either way
+//     the clock stays in src/obs (the `no-raw-timing` lint rule).
+//   * Stable vs runtime recording: operator and Phase() spans are
+//     kStable (the deterministic skeleton under the root); Sample()
+//     opens kRuntime spans for shard/chunk/block detail and feeds
+//     latency histograms.
 //
 // Construction opens the root span; destruction closes it.
 //
@@ -89,27 +92,8 @@ class JoinTelemetry {
   /// phase span is the parent for Sample() scopes and PhaseAttr().
   PhaseScope Phase(std::string_view name, double* seconds);
 
-  /// Timer-only variant for interleaved execution (the pipelined
-  /// drivers' per-item scopes, far too fine-grained for spans).
-  PhaseScope Time(double* seconds);
-
   /// The most recent Phase() span (kNoSpan before the first).
   SpanId phase_span() const { return phase_span_; }
-
-  /// Manual counterpart to Phase() for phases that cannot live inside
-  /// one lexical scope (an operator whose phase spans several
-  /// NextBatch() pulls). PhaseBegin opens the kStable span and starts
-  /// the clock; PhaseEnd closes the span and adds the elapsed seconds
-  /// to the double captured at PhaseBegin. At most one manual phase may
-  /// be open per JoinTelemetry; PhaseEnd with none open is a no-op, and
-  /// both calls are control-thread-only like Phase(). Pass an empty
-  /// name for the timer-only variant (mirrors Time(): no span even when
-  /// tracing).
-  void PhaseBegin(std::string_view name, double* seconds);
-  void PhaseEnd();
-
-  /// True between PhaseBegin() and the matching PhaseEnd().
-  bool manual_phase_open() const { return manual_seconds_ != nullptr; }
 
   /// Sets an attribute on the most recent phase span (no-op untraced).
   void PhaseAttr(std::string_view key, uint64_t value);
@@ -158,21 +142,18 @@ class JoinTelemetry {
   MetricsRegistry* metrics_;
   SpanId root_ = kNoSpan;
   SpanId phase_span_ = kNoSpan;
-  SpanId manual_span_ = kNoSpan;
-  double* manual_seconds_ = nullptr;
-  Stopwatch manual_watch_;
 };
 
-/// Per-operator pipeline instrumentation (DESIGN.md Section 14). One
-/// OpInstrument lives in each pipeline Operator; Plan::Run binds it when
-/// the run has a MetricsRegistry. Bound, it owns four counters named
-/// "pipeline.<tag>." + {batches, rows_in, rows_out, ns} — row totals are
-/// kStable (functions of input and plan, exactly equal at any thread
-/// count / spill mode), batch counts and self-time are kRuntime (batch
-/// granularity is thread-count-dependent, ns is wall clock) — plus one
-/// kRuntime span per operator when tracing. Unbound it is the null sink:
-/// enabled() is one branch, and Operator::Pull falls straight through to
-/// NextBatch with no clock read and no allocation.
+/// Per-operator pipeline instrumentation (DESIGN.md Section 14), the one
+/// clock of a Join() run. One OpInstrument lives in each pipeline
+/// Operator and times every Pull (and the Open) whatever sinks are
+/// attached; Operator::Close adds self_ns() into the operator's JoinStats
+/// phase field. Plan::Run binds it to the run's sinks: with a registry it
+/// publishes "pipeline.<tag>." + {batches, rows_in, rows_out, ns} from
+/// the same nanoseconds — row totals kStable (functions of input and
+/// plan), batches and ns kRuntime — and with a tracer it owns the
+/// operator's kStable span, closed with the rows_in/rows_out totals.
+/// Unbound, enabled() is false and the timing allocates nothing.
 ///
 /// The clock reads live here, in the obs layer, so src/core stays clean
 /// under the `no-raw-timing` lint: core calls the opaque NowNs()/
@@ -193,34 +174,40 @@ class OpInstrument {
   OpInstrument& operator=(const OpInstrument&) = delete;
 
   /// Binds to the run's sinks: registers the four pipeline.<tag>.*
-  /// counters in telemetry->metrics() (no-op when null) and opens the
-  /// operator's kRuntime span under the root when tracing. `lane` is
-  /// the operator's position in the chain (distinct trace lanes).
+  /// counters in telemetry->metrics() and opens the operator's kStable
+  /// span under the root when tracing (each a no-op when its sink is
+  /// null). `lane` is the operator's position in the chain.
   void Bind(JoinTelemetry* telemetry, std::string_view tag, uint32_t lane);
 
+  /// True when the pipeline.<tag>.* counters are bound.
   bool enabled() const { return batches_ != nullptr; }
 
-  /// Monotonic nanoseconds; only meaningful for differences. Callers
-  /// must guard with enabled() — the null sink never reads a clock.
+  /// Monotonic nanoseconds; only meaningful for differences.
   int64_t NowNs() const;
 
-  /// Accounts one Pull: `start_ns` from NowNs() before NextBatch,
-  /// `nested_ns` the inclusive time the input operator consumed inside
-  /// this pull, `produced` whether a data batch came out. Publishes the
-  /// row totals as deltas against the last published values, so the
+  /// Accounts one Pull (or the operator's Open: no nested time, nothing
+  /// produced): `start_ns` from NowNs() before the call, `nested_ns` the
+  /// inclusive time the input operator consumed inside it, `produced`
+  /// whether a data batch came out. When bound, publishes the row
+  /// totals as deltas against the last published values, so the
   /// heartbeat sees live counts mid-join.
   void RecordPull(int64_t start_ns, uint64_t nested_ns, bool produced,
                   uint64_t rows_in, uint64_t rows_out);
 
-  /// Total time spent inside this operator's Pull calls (including its
-  /// inputs) — the parent's nested_ns.
+  /// Total time spent inside this operator's Open and Pull calls
+  /// (including its inputs) — the parent's nested_ns.
   uint64_t inclusive_ns() const { return inclusive_ns_; }
 
-  /// Flushes the final row totals and closes the operator span. Called
-  /// from Operator::Close on every exit path; idempotent.
+  /// This operator's own time: inclusive_ns() minus its inputs' share.
+  uint64_t self_ns() const { return self_ns_total_; }
+
+  /// Flushes the final row totals and closes the operator span with
+  /// them. Called from Operator::Close on every exit path; idempotent.
   void FinishCounts(uint64_t rows_in, uint64_t rows_out);
 
  private:
+  void PublishRows(uint64_t rows_in, uint64_t rows_out);
+
   Counter* batches_ = nullptr;
   Counter* rows_in_ = nullptr;
   Counter* rows_out_ = nullptr;
@@ -228,6 +215,7 @@ class OpInstrument {
   Tracer* tracer_ = nullptr;
   SpanId span_ = kNoSpan;
   uint64_t inclusive_ns_ = 0;
+  uint64_t self_ns_total_ = 0;
   uint64_t published_rows_in_ = 0;
   uint64_t published_rows_out_ = 0;
 };

@@ -44,7 +44,9 @@ enum class Stability {
 // these constants.
 namespace names {
 
-// Span names.
+// Span names. The Figure 2 phase spans belong to the drivers that are
+// not operator chains (core/string_join, relational/sql_ssjoin); a
+// Join() run's spans are its operators, named by their kOp* tags below.
 inline constexpr std::string_view kSpanJoin = "join";
 inline constexpr std::string_view kSpanSigGen = "SigGen";
 inline constexpr std::string_view kSpanCandPair = "CandPair";
@@ -60,7 +62,6 @@ inline constexpr std::string_view kAttrTrip = "trip";
 inline constexpr std::string_view kAttrInputSets = "input_sets";
 inline constexpr std::string_view kAttrInputSetsR = "input_sets_r";
 inline constexpr std::string_view kAttrInputSetsS = "input_sets_s";
-inline constexpr std::string_view kAttrSignatures = "signatures";
 inline constexpr std::string_view kAttrSignaturesR = "signatures_r";
 inline constexpr std::string_view kAttrSignaturesS = "signatures_s";
 inline constexpr std::string_view kAttrSignatureCollisions =
@@ -73,6 +74,10 @@ inline constexpr std::string_view kAttrBitmapFilterChecked =
 inline constexpr std::string_view kAttrBitmapFilterPruned =
     "bitmap_filter_pruned";
 inline constexpr std::string_view kAttrRows = "rows";
+// Operator spans carry the operator's deterministic row totals (the
+// same values as the pipeline.<op>.rows_in/rows_out counters).
+inline constexpr std::string_view kAttrRowsIn = "rows_in";
+inline constexpr std::string_view kAttrRowsOut = "rows_out";
 // Out-of-core execution (core/spill, DESIGN.md Section 12). "spill"
 // records how the spilled path was entered ("forced" / "auto"); the
 // counters are functions of the input and spill configuration, so all
@@ -154,9 +159,9 @@ inline constexpr std::string_view kPipelineSuffixBatches = ".batches";
 inline constexpr std::string_view kPipelineSuffixRowsIn = ".rows_in";
 inline constexpr std::string_view kPipelineSuffixRowsOut = ".rows_out";
 inline constexpr std::string_view kPipelineSuffixNs = ".ns";
-// Operator metric tags (the <op> component). Tags are stable lowercase
-// identifiers, distinct from the human-facing operator names that the
-// EXPLAIN plan prints.
+// Operator metric tags (the <op> component, and the operator span
+// names). Tags are stable lowercase identifiers, distinct from the
+// human-facing operator names that the EXPLAIN plan prints.
 inline constexpr std::string_view kOpSigGen = "siggen";
 inline constexpr std::string_view kOpCandGen = "candgen";
 inline constexpr std::string_view kOpPipelinedScan = "pipelined_scan";

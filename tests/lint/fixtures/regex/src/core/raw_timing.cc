@@ -1,5 +1,5 @@
 // Fixture: no-raw-timing (scope: src/core) — raw clocks and timer
-// includes are flagged; join timing flows through obs::JoinTelemetry.
+// includes are flagged; join timing flows through the obs seams.
 #include <chrono>        // expect(no-raw-timing)
 #include "util/timer.h"  // expect(no-raw-timing)
 

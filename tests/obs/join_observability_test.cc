@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 
 #include "baselines/identity_scheme.h"
@@ -48,17 +49,34 @@ Result<PartEnumJaccardScheme> MakeScheme(const SetCollection& input,
   return PartEnumJaccardScheme::Create(params);
 }
 
+// The stable span skeleton of a Join() run: one span per pipeline
+// operator under the join root, carrying its deterministic row totals.
+void ExpectOperatorSpans(const std::string& trace,
+                         std::initializer_list<std::string> ops) {
+  for (const std::string& op : ops) {
+    EXPECT_NE(trace.find("\"name\":\"" + op + "\",\"attrs\":{\"rows_in\":"),
+              std::string::npos)
+        << op;
+  }
+  // A Join() trace has no Figure 2 phase spans.
+  for (std::string phase : {"SigGen", "CandPair", "PostFilter"}) {
+    EXPECT_EQ(trace.find("\"name\":\"" + phase + "\""), std::string::npos)
+        << phase;
+  }
+}
+
 // Runs `request` (with sinks attached) and returns the concatenated
-// deterministic JSONL exports.
-std::string DeterministicExport(JoinRequest request, size_t threads) {
+// deterministic JSONL exports; `metrics` false attaches the tracer only.
+std::string DeterministicExport(JoinRequest request, size_t threads,
+                                bool metrics = true) {
   obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+  obs::MetricsRegistry registry;
   request.options.num_threads = threads;
   request.options.tracer = &tracer;
-  request.options.metrics = &metrics;
+  request.options.metrics = metrics ? &registry : nullptr;
   JoinResult result = Join(request);
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  return obs::TraceJsonl(tracer) + obs::MetricsJsonl(metrics);
+  return obs::TraceJsonl(tracer) + obs::MetricsJsonl(registry);
 }
 
 TEST(ObsDeterminismTest, SelfJoinExportIsThreadCountInvariant) {
@@ -77,11 +95,10 @@ TEST(ObsDeterminismTest, SelfJoinExportIsThreadCountInvariant) {
   std::string parallel = DeterministicExport(request, 4);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
-  // The stable skeleton: join root plus the three phase spans.
+  // The stable skeleton: join root plus one span per operator.
   EXPECT_NE(serial.find("\"name\":\"join\""), std::string::npos);
-  EXPECT_NE(serial.find("\"name\":\"SigGen\""), std::string::npos);
-  EXPECT_NE(serial.find("\"name\":\"CandPair\""), std::string::npos);
-  EXPECT_NE(serial.find("\"name\":\"PostFilter\""), std::string::npos);
+  ExpectOperatorSpans(serial, {"siggen", "candgen", "bitmap_filter",
+                               "verify", "dedup_emit"});
   // No wall-clock leakage into the deterministic stream.
   EXPECT_EQ(serial.find("seconds"), std::string::npos);
   EXPECT_EQ(serial.find("_us"), std::string::npos);
@@ -119,24 +136,45 @@ TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
   request.predicate = &predicate;
   request.mode = ExecutionMode::kPipelinedSelfJoin;
 
-  // The serial and block-parallel pipelined drivers are structurally
-  // different, so the pipelined mode emits no stable phase spans — the
-  // deterministic export (root span + attrs + metrics) must still be
-  // byte-identical across thread counts. The no-SigGen-span shape is a
-  // property of the in-memory driver (the spilled driver's
-  // per-partition joins legitimately emit phase spans), so pin the
-  // policy rather than inherit a CI-wide SSJOIN_SPILL=force.
+  // The serial and block-parallel pipelined loops differ, but only
+  // below the PipelinedScan operator: the chain — and so the stable
+  // operator skeleton — is the same at every thread count. The
+  // pipelined_scan source is a property of the in-memory path (the
+  // spilled rerun's source is spill_partition), so pin the policy rather
+  // than inherit a CI-wide SSJOIN_SPILL=force.
   request.options.spill.policy = SpillPolicy::kDisabled;
   std::string serial = DeterministicExport(request, 1);
   EXPECT_EQ(serial, DeterministicExport(request, 4));
   EXPECT_NE(serial.find("\"mode\":\"pipelined_self\""), std::string::npos);
-  EXPECT_EQ(serial.find("\"name\":\"SigGen\""), std::string::npos);
+  ExpectOperatorSpans(serial, {"pipelined_scan", "bitmap_filter", "verify",
+                               "dedup_emit"});
 
   // The forced-spill export must be thread-count invariant too.
   request.options.spill.policy = SpillPolicy::kForced;
   std::string spilled = DeterministicExport(request, 1);
   EXPECT_EQ(spilled, DeterministicExport(request, 4));
   EXPECT_NE(spilled.find("\"mode\":\"pipelined_self\""), std::string::npos);
+}
+
+// Operator spans need only a tracer: a join without a MetricsRegistry
+// records the same stable skeleton, identical at every thread count.
+TEST(ObsDeterminismTest, TracerOnlyJoinEmitsOperatorSkeleton) {
+  SetCollection input = Workload(300, 56);
+  auto scheme = MakeScheme(input, 0.85);
+  ASSERT_TRUE(scheme.ok());
+  JaccardPredicate predicate(0.85);
+
+  JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
+  request.options.spill.policy = SpillPolicy::kDisabled;
+  std::string serial = DeterministicExport(request, 1, /*metrics=*/false);
+  EXPECT_EQ(serial, DeterministicExport(request, 4, /*metrics=*/false));
+  ExpectOperatorSpans(serial, {"siggen", "candgen", "bitmap_filter",
+                               "verify", "dedup_emit"});
+  request.mode = ExecutionMode::kPipelinedSelfJoin;
+  serial = DeterministicExport(request, 1, /*metrics=*/false);
+  EXPECT_EQ(serial, DeterministicExport(request, 4, /*metrics=*/false));
+  ExpectOperatorSpans(serial, {"pipelined_scan", "bitmap_filter", "verify",
+                               "dedup_emit"});
 }
 
 // The auto-spill degrade: the in-memory chain abandons its tables under

@@ -45,13 +45,14 @@ struct PipelineCounters {
   std::map<std::string, uint64_t> runtime;      // .batches / .ns
   uint64_t results = 0;
   uint64_t candidates = 0;
+  JoinStats stats;
 };
 
 PipelineCounters RunAndCollect(const SetCollection& input,
                                const PartEnumJaccardScheme& scheme,
                                const JaccardPredicate& predicate,
                                ExecutionMode mode, size_t threads,
-                               SpillPolicy spill) {
+                               SpillPolicy spill, bool verify = true) {
   MetricsRegistry metrics;
   JoinRequest request;
   request.left = &input;
@@ -61,10 +62,12 @@ PipelineCounters RunAndCollect(const SetCollection& input,
   request.options.num_threads = threads;
   request.options.metrics = &metrics;
   request.options.spill.policy = spill;
+  request.options.verify = verify;
   JoinResult result = Join(request);
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();
 
   PipelineCounters out;
+  out.stats = result.stats;
   out.results = result.stats.results;
   out.candidates = result.stats.candidates;
   for (const MetricRecord& record : metrics.Snapshot()) {
@@ -150,6 +153,49 @@ TEST_F(PipelineMetricsTest, CountersTieOutToJoinStats) {
     ns_counters += EndsWith(name, ".ns");
   }
   EXPECT_EQ(rows_out_counters, ns_counters);
+}
+
+// One timing vocabulary: the JoinStats phase seconds are the operator
+// self-times summed by paper phase, from the same nanoseconds the
+// pipeline.<op>.ns counters publish. SigGen is siggen; CandPair is the
+// candidate source (candgen, or the fused pipelined_scan /
+// spill_partition); PostFilter is bitmap_filter + verify + dedup_emit.
+// Without verification dedup_emit only drains the source: it counts
+// under CandPair and postfilter_seconds stays 0.
+TEST_F(PipelineMetricsTest, PhaseSecondsTieOutToOperatorSelfTimes) {
+  struct Chain {
+    ExecutionMode mode;
+    SpillPolicy spill;
+    bool verify;
+  };
+  for (Chain c : {Chain{ExecutionMode::kSelfJoin, SpillPolicy::kDisabled, true},
+                  Chain{ExecutionMode::kPipelinedSelfJoin,
+                        SpillPolicy::kDisabled, true},
+                  Chain{ExecutionMode::kSelfJoin, SpillPolicy::kForced, true},
+                  Chain{ExecutionMode::kSelfJoin, SpillPolicy::kDisabled,
+                        false}}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(ExecutionModeName(c.mode)) + " spill=" +
+                   std::to_string(static_cast<int>(c.spill)) + " verify=" +
+                   std::to_string(c.verify) + " threads=" +
+                   std::to_string(threads));
+      PipelineCounters p = RunAndCollect(input_, *scheme_, predicate_, c.mode,
+                                         threads, c.spill, c.verify);
+      auto s = [&](const std::string& op) {
+        return static_cast<double>(p.runtime["pipeline." + op + ".ns"]) / 1e9;
+      };
+      EXPECT_DOUBLE_EQ(p.stats.siggen_seconds, s("siggen"));
+      EXPECT_DOUBLE_EQ(p.stats.candpair_seconds,
+                       s("candgen") + s("pipelined_scan") +
+                           s("spill_partition") +
+                           (c.verify ? 0.0 : s("dedup_emit")));
+      EXPECT_DOUBLE_EQ(p.stats.postfilter_seconds,
+                       c.verify ? s("bitmap_filter") + s("verify") +
+                                      s("dedup_emit")
+                                : 0.0);
+      EXPECT_GT(p.stats.candpair_seconds, 0.0);
+    }
+  }
 }
 
 TEST_F(PipelineMetricsTest, RuntimeCountersStayOutOfStableExport) {

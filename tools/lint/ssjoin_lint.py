@@ -21,8 +21,9 @@ Rules (scope: the directories named in RULE_SCOPES):
                        assign, or branch on it).
   no-raw-timing        src/core must not time phases with raw PhaseTimer /
                        Stopwatch (util/timer.h) or <chrono> clock reads;
-                       all join timing flows through obs::JoinTelemetry so
-                       spans, metrics and JoinStats stay in one place.
+                       the clock stays in src/obs: operator timing goes
+                       through obs::OpInstrument (Operator::Pull), the
+                       other drivers' through JoinTelemetry::Phase.
                        execution_guard.{h,cc} are exempt (deadline
                        enforcement needs a wall clock, not telemetry).
   no-unchecked-io      a bare-statement call to a C stdio / POSIX write
@@ -76,7 +77,7 @@ RULE_SCOPES = {
 # telemetry-registry: the registry file and the emission seams it guards.
 STABILITY_HEADER = ("src", "obs", "stability.h")
 # Methods/functions whose first string-literal argument is a telemetry
-# name: JoinTelemetry (Phase/Time/Sample/PhaseAttr/Attr/Event/AddCount/
+# name: JoinTelemetry (Phase/Sample/PhaseAttr/Attr/Event/AddCount/
 # SetGauge), Tracer (StartSpan/SetAttr/AddEvent), MetricsRegistry
 # (counter/gauge/histogram), the explain seams (SetParam/Predict/
 # Actual + their null-safe Record* wrappers), and the structured-log
@@ -86,14 +87,14 @@ STABILITY_HEADER = ("src", "obs", "stability.h")
 # by construction.
 TELEMETRY_CALL_RE = re.compile(
     r"(?<![\w:])(?:StartSpan|PhaseAttr|AddCount|SetGauge|SetAttr|AddEvent|"
-    r"Attr|LogEvent|Log|Event|Sample|Phase|Time|counter|gauge|histogram|"
+    r"Attr|LogEvent|Log|Event|Sample|Phase|counter|gauge|histogram|"
     r"RecordParam|RecordPrediction|RecordActual|SetParam|Predict|Actual)"
     r"\s*\(")
 STRING_LIT_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 # no-raw-timing applies only below this prefix, minus the exempt files —
 # the guard needs a real clock for deadlines; everything else in src/core
-# times joins through obs::JoinTelemetry.
+# times joins through the obs seams (OpInstrument, JoinTelemetry::Phase).
 NO_RAW_TIMING_PREFIX = ("src", "core")
 NO_RAW_TIMING_EXEMPT = {"execution_guard.h", "execution_guard.cc"}
 
@@ -126,7 +127,8 @@ DROPPED_STATUS_RE = re.compile(
 # Raw timing machinery forbidden in src/core: the util/timer.h include
 # (PhaseTimer / Stopwatch / ScopedTimer live there) and direct <chrono>
 # clock reads. `#include <chrono>` alone is also flagged — core code that
-# needs elapsed time should take a JoinTelemetry scope instead.
+# needs elapsed time gets it from an obs seam instead (an operator's Pull,
+# or a JoinTelemetry::Phase scope).
 # I/O primitives whose int/size_t result is the only report of a short
 # write, ENOSPC, or a buffered-write failure surfacing at flush/close.
 # A line that is nothing but such a call (even behind a `(void)` cast)
@@ -291,8 +293,8 @@ class Linter:
                         or CHRONO_CLOCK_RE.search(line)):
                     if not allowed(lineno, "no-raw-timing"):
                         self.report(rel, lineno, "no-raw-timing",
-                                    "src/core times joins through "
-                                    "obs::JoinTelemetry, not raw "
+                                    "src/core times joins through the "
+                                    "obs seams, not raw "
                                     "util/timer.h or std::chrono clocks "
                                     "(execution_guard is the only "
                                     "exemption)")
