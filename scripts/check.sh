@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Correctness-tooling driver: builds and runs the tier-1 suite under each
-# sanitizer preset, then runs the static checks (repo lint, AST lint, and
+# sanitizer preset, then runs the static checks (repo lint, and
 # clang-tidy / Clang Thread Safety Analysis when clang is available).
 #
 # Usage:
@@ -43,10 +43,6 @@ run_lint() {
   python3 tools/lint/ssjoin_lint.py --root "$ROOT"
   banner "ssjoin_lint self-test"
   python3 tools/lint/ssjoin_lint.py --self-test --root "$ROOT"
-  banner "ssjoin_ast_lint"
-  python3 tools/lint/ssjoin_ast_lint.py --root "$ROOT"
-  banner "ssjoin_ast_lint self-test"
-  python3 tools/lint/ssjoin_ast_lint.py --self-test --root "$ROOT"
   if command -v clang-tidy >/dev/null 2>&1; then
     banner "clang-tidy"
     tools/lint/run_clang_tidy.sh

@@ -54,11 +54,10 @@ constexpr uint64_t kFlatDedupMaxInsertions = 1ull << 17;
 // chosen once per shard from the exact insertion count.
 class CandidateDedup {
  public:
-  explicit CandidateDedup(uint64_t expected_insertions, size_t reserve) {
+  explicit CandidateDedup(uint64_t expected_insertions) {
     use_flat_ = expected_insertions <= kFlatDedupMaxInsertions;
     if (use_flat_) {
-      flat_.Reserve(std::max<size_t>(
-          reserve, static_cast<size_t>(expected_insertions)));
+      flat_.Reserve(static_cast<size_t>(expected_insertions));
     } else {
       occurrences_.reserve(static_cast<size_t>(expected_insertions));
     }
@@ -93,7 +92,6 @@ class CandidateDedup {
 // Within a signature group the (sig, id) postings are unique and sorted,
 // so ids ascend: a < b already yields first < second.
 ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
-                              size_t reserve,
                               const std::function<bool()>& stop) {
   ShardCandidates out;
   // Pre-scan the signature groups for the exact insertion count
@@ -109,7 +107,7 @@ ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
     expected += group * (group - 1) / 2;
     g = h;
   }
-  CandidateDedup dedup(expected, reserve);
+  CandidateDedup dedup(expected);
   size_t i = 0;
   uint64_t groups = 0;
   while (i < postings.size()) {
@@ -134,7 +132,6 @@ ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
 // Binary-join candidate generation: merge-join of the two shard slices.
 ShardCandidates BinaryJoinShard(const std::vector<Posting>& postings_r,
                                 const std::vector<Posting>& postings_s,
-                                size_t reserve,
                                 const std::function<bool()>& stop) {
   ShardCandidates out;
   // Same exact-insertion-count pre-scan as SelfJoinShard, via a dry
@@ -157,7 +154,7 @@ ShardCandidates BinaryJoinShard(const std::vector<Posting>& postings_r,
       gj = ej;
     }
   }
-  CandidateDedup dedup(expected, reserve);
+  CandidateDedup dedup(expected);
   size_t i = 0, j = 0;
   uint64_t iters = 0;
   while (i < postings_r.size() && j < postings_s.size()) {

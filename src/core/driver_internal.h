@@ -64,13 +64,11 @@ struct ShardCandidates {
 
 // Self-join candidate generation over one shard's sorted postings.
 ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
-                              size_t reserve,
                               const std::function<bool()>& stop);
 
 // Binary-join candidate generation: merge-join of the two shard slices.
 ShardCandidates BinaryJoinShard(const std::vector<Posting>& postings_r,
                                 const std::vector<Posting>& postings_s,
-                                size_t reserve,
                                 const std::function<bool()>& stop);
 
 // Unions sorted duplicate-free candidate lists: log2(n) pairwise

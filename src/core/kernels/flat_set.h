@@ -11,7 +11,7 @@
 // Determinism: the table's iteration order is insertion/probe dependent,
 // so it is never exposed — ExtractSorted() moves the distinct keys out
 // and sorts them, producing exactly the vector sort+unique produced.
-// (The `deterministic-iteration` AST lint rule polices unordered
+// (The `deterministic-iteration` lint rule polices unordered
 // containers reaching export sinks; this class only ever escapes through
 // the sorted extraction.)
 //
@@ -41,8 +41,8 @@ class FlatU64Set {
   /// Sentinel for an empty slot. PackPair(a, b) with a < b (self-join)
   /// or any (r, s) candidate never produces all-ones (that would need
   /// set id 0xffffffff on both sides), so the sentinel is safe for the
-  /// dedup workload; Insert checks it in debug builds via the capacity
-  /// invariants only.
+  /// dedup workload. Nothing checks it: an inserted kEmpty is lost (its
+  /// slot still reads as empty) while size() counts it.
   static constexpr uint64_t kEmpty = ~0ULL;
 
   FlatU64Set() = default;

@@ -93,7 +93,6 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
   }
 
   size_t shards = pool.size();
-  size_t reserve = options.table_reserve / shards;
   std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
   if (!binary) {
     std::vector<std::vector<Posting>> buckets =
@@ -102,7 +101,7 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
         pool,
         [&](size_t shard) {
           return detail::SelfJoinShard(ShardPostings(buckets, shards, shard),
-                                       reserve, stop);
+                                       stop);
         },
         stop, &stats, ctx_->telem);
   } else {
@@ -115,7 +114,7 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
         [&](size_t shard) {
           return detail::BinaryJoinShard(
               ShardPostings(buckets_r, shards, shard),
-              ShardPostings(buckets_s, shards, shard), reserve, stop);
+              ShardPostings(buckets_s, shards, shard), stop);
         },
         stop, &stats, ctx_->telem);
   }

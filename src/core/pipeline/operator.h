@@ -26,7 +26,7 @@
 //     (Close must be safe after a failed or skipped Open).
 //
 // Contract: every Operator subclass overrides Close() and finishes it
-// with Operator::Close() (the `operator-contract` AST-lint rule);
+// with Operator::Close() (the `operator-contract` lint rule);
 // operators never read clocks, pull their input only via input_->Pull
 // (NextBatch would bypass the clock and drop the input's time from
 // JoinStats) and never emit unregistered metric names.

@@ -22,7 +22,6 @@ Status PipelinedScanOperator::Open() {
   ExecutionGuard* guard = ctx_->guard;
   auto_spill_ = options.spill.policy == SpillPolicy::kAuto &&
                 guard != nullptr && guard->budget().memory_budget_bytes > 0;
-  if (options.table_reserve > 0) index_.reserve(options.table_reserve);
   if (!serial_ && options.metrics != nullptr) {
     block_micros_ = &options.metrics->histogram("join.pipeline.block_micros");
   }

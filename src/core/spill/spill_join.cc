@@ -187,7 +187,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   }
 
   const size_t shards = pool.size();
-  const size_t reserve = options.table_reserve / shards;
   std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
   std::vector<uint64_t> merged;
   for (uint32_t p = 0; p < partitions; ++p) {
@@ -229,11 +228,11 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
         [&](size_t shard) {
           std::sort(shards_l[shard].begin(), shards_l[shard].end());
           if (right == nullptr) {
-            return detail::SelfJoinShard(shards_l[shard], reserve, stop);
+            return detail::SelfJoinShard(shards_l[shard], stop);
           }
           std::sort(shards_r[shard].begin(), shards_r[shard].end());
           return detail::BinaryJoinShard(shards_l[shard], shards_r[shard],
-                                         reserve, stop);
+                                         stop);
         },
         stop, stats, &telem);
     if (guard != nullptr && guard->tripped()) return guard->trip_status();

@@ -93,9 +93,6 @@ struct JoinOptions {
   /// breaker is not evaluated when verification is skipped (its ratio is
   /// candidates per *verified* pair).
   bool verify = true;
-  /// Reserve hint for the candidate containers / signature index
-  /// (0 = derive from input).
-  size_t table_reserve = 0;
   /// Width of the XOR bitmap pre-filter (core/kernels/bitmap_filter.h)
   /// applied between candidate generation and exact verification: 64,
   /// 128 (default) or 256 bits per set, 0 disables the filter. The

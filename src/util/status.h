@@ -48,7 +48,7 @@ std::string_view StatusCodeToString(StatusCode code);
 /// swallowed error. Use SSJOIN_RETURN_NOT_OK / assign / branch; in the
 /// rare case a failure is genuinely ignorable, write
 /// `(void)Call();  // ssjoin-lint: allow(status-must-use)` with a
-/// justification so both the compiler and the AST lint see intent.
+/// justification so both the compiler and the repo lint see intent.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

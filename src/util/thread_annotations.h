@@ -12,7 +12,7 @@
 //   2. The util::Mutex / util::MutexLock / util::CondVar wrappers over
 //      <mutex> and <condition_variable>. They are the only sanctioned
 //      mutual-exclusion primitives in src/: the `mutex-wrapper-only`
-//      AST lint rule (tools/lint/ssjoin_ast_lint.py) forbids bare
+//      lint rule (tools/lint/ssjoin_lint.py) forbids bare
 //      std::mutex / std::lock_guard / std::condition_variable anywhere
 //      else, so locking can never silently bypass the capability
 //      annotations.

@@ -24,7 +24,7 @@ void DropsFree() {
 }
 
 void DropsMember(Guard& guard) {
-  guard.Checkpoint();  // expect(status-must-use)
+  guard.Checkpoint();  // expect(status-must-use) // expect(no-dropped-status)
 }
 
 void ChecksResult() {
