@@ -34,10 +34,6 @@
 
 namespace ssjoin::detail {
 
-// One (signature, set id) occurrence; sorted order groups equal
-// signatures and, within a group, ascends by id.
-using Posting = std::pair<Signature, SetId>;
-
 // Wraps guard->ShouldStop(phase) for the interruptible ParallelFor
 // overload. Empty when no guard is attached, which selects the plain
 // (single-invocation-per-chunk) ParallelFor — unguarded runs execute the

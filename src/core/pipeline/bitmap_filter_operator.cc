@@ -18,17 +18,10 @@ BitmapFilterOperator::BitmapFilterOperator(ExecContext* ctx, bool eager)
 Status BitmapFilterOperator::Open() {
   if (!eager_) return Status::OK();
   // Pipelined discipline: rows for the whole input are built upfront
-  // (ids are known even though the index grows incrementally). The
-  // serial path builds without the pool, exactly as the serial
-  // pipelined driver did.
+  // (ids are known even though the index grows incrementally).
   ExecutionGuard* guard = ctx_->guard;
-  if (ctx_->pool->size() == 1) {
-    bitmap_l_ =
-        kernels::BitmapTable::Build(*ctx_->left, ctx_->options->bitmap_bits);
-  } else {
-    bitmap_l_ = detail::BuildBitmap(*ctx_->left, ctx_->options->bitmap_bits,
-                                    *ctx_->pool);
-  }
+  bitmap_l_ = detail::BuildBitmap(*ctx_->left, ctx_->options->bitmap_bits,
+                                  *ctx_->pool);
   if (guard != nullptr) {
     guard->ChargeMemory(bitmap_l_.size_bytes());
     ctx_->degrade_release_bytes += bitmap_l_.size_bytes();

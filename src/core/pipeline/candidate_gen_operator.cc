@@ -10,8 +10,6 @@
 namespace ssjoin::pipeline {
 namespace {
 
-using detail::Posting;
-
 // Scatters a CSR chunk into per-(producer, shard) posting buckets.
 // Producer c writes only buckets[c * shards + *], so the pass is
 // race-free; shard s later reads buckets[* * shards + s].

@@ -1,45 +1,33 @@
 // PipelinedScanOperator: source for ExecutionMode::kPipelinedSelfJoin
 // (DESIGN.md Section 13). One operator fuses SigGen and CandPair the way
-// the pipelined drivers did — an inverted index over already-processed
-// sets, probed per set so candidates stream out without a global
-// signature table — and emits one CandidateChunk per deterministic unit:
-//
-//   * Serial (pool of one): the unit is 1024 probe sets, the serial
-//     driver's barrier granularity. Candidates pack per set in sorted
-//     partner order.
-//   * Block-parallel: the unit is a block of 256 * threads sets. Each
-//     block generates signatures in parallel, probes the (read-only
-//     during the block) index plus a sorted block-local posting list for
-//     intra-block partners with smaller id, packs the survivors, and
-//     only then appends the block to the index — so every probe sees
-//     exactly the sets with smaller id, and the candidate multiset
-//     matches the serial unit set for set.
+// §3's engineering note pipelines them — an incremental SignatureIndex
+// over already-processed sets, probed per set so candidates stream out
+// without a global signature table. It emits one CandidateChunk per unit
+// of 1024 probe sets, packed per set in sorted partner order. The loop
+// is the same at every thread count (threads speed up the eager bitmap
+// build and Verify downstream), so units, barriers and output never
+// depend on the pool size.
 //
 // The guard barrier precedes every unit (and runs once more at end of
 // input): charge the index growth, arm auto-spill degradation, then the
 // three phase checkpoints and — only when verifying — the breaker over
 // committed candidates vs results. Downstream operators commit a unit's
 // verify stats before the next pull, so a barrier always observes
-// whole-unit totals, exactly as the legacy loop did. On degradation the
-// operator charges nothing further, adds the index footprint to
-// ctx->degrade_release_bytes, and ends the stream; the runner reruns
-// out of core.
+// whole-unit totals. On degradation the operator charges nothing
+// further, adds the index footprint to ctx->degrade_release_bytes, and
+// ends the stream; the runner reruns out of core.
 //
 // Signature generation and probing interleave per set, so the whole
 // operator — index build included — counts under CandPair: its
 // self-time is the join's candpair_seconds and siggen_seconds stays 0.
-// Its operator span is stable (the chain is the same at every thread
-// count); the serial and block loops differ only below it, where the
-// block variant emits per-block kRuntime samples.
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "core/driver_internal.h"
 #include "core/pipeline/operator.h"
+#include "core/signature_index.h"
 
 namespace ssjoin::pipeline {
 
@@ -55,23 +43,16 @@ class PipelinedScanOperator : public Operator {
 
  private:
   Status Barrier();
-  void SerialGroup(Batch* out);
-  void ParallelBlock(Batch* out);
+  void ScanUnit(Batch* out);
 
-  bool serial_ = true;
   bool auto_spill_ = false;
   bool done_ = false;
   SetId next_ = 0;
   uint64_t charged_sigs_ = 0;
-  std::unordered_map<Signature, std::vector<SetId>> index_;
-  obs::Histogram* block_micros_ = nullptr;
-  // Serial per-set scratch.
+  SignatureIndex index_;
+  // Per-set scratch, reused across sets.
   std::vector<Signature> sigs_;
-  std::vector<SetId> probe_candidates_;
-  // Block-parallel scratch, reused across blocks.
-  std::vector<std::vector<Signature>> block_sigs_;
-  std::vector<std::vector<SetId>> block_partners_;
-  std::vector<detail::Posting> block_postings_;
+  std::vector<SetId> partners_;
 };
 
 }  // namespace ssjoin::pipeline

@@ -1,8 +1,6 @@
 #include "core/similarity_index.h"
 
-#include <algorithm>
-
-#include "util/check.h"
+#include "core/driver_internal.h"
 
 namespace ssjoin {
 
@@ -20,10 +18,8 @@ SetId SimilarityIndex::Insert(std::span<const ElementId> set) {
   stored_elements_.insert(stored_elements_.end(), set.begin(), set.end());
 
   std::vector<Signature> sigs;
-  scheme_->Generate(set, &sigs);
-  std::sort(sigs.begin(), sigs.end());
-  sigs.erase(std::unique(sigs.begin(), sigs.end()), sigs.end());
-  for (Signature sig : sigs) postings_[sig].push_back(id);
+  detail::GenerateSorted(*scheme_, set, &sigs);
+  postings_.Add(sigs, id);
   ++stats_.inserted;
   return id;
 }
@@ -38,20 +34,9 @@ std::vector<SetId> SimilarityIndex::Lookup(
     std::span<const ElementId> probe) const {
   ++stats_.lookups;
   std::vector<Signature> sigs;
-  scheme_->Generate(probe, &sigs);
-  std::sort(sigs.begin(), sigs.end());
-  sigs.erase(std::unique(sigs.begin(), sigs.end()), sigs.end());
-
+  detail::GenerateSorted(*scheme_, probe, &sigs);
   std::vector<SetId> candidates;
-  for (Signature sig : sigs) {
-    auto it = postings_.find(sig);
-    if (it == postings_.end()) continue;
-    candidates.insert(candidates.end(), it->second.begin(),
-                      it->second.end());
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  postings_.Probe(sigs, &candidates);
   stats_.candidates += candidates.size();
 
   std::vector<SetId> results;

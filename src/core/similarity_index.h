@@ -17,13 +17,14 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/predicate.h"
+#include "core/signature_index.h"
 #include "core/signature_scheme.h"
 #include "core/types.h"
 #include "data/collection.h"
+#include "util/check.h"
 
 namespace ssjoin {
 
@@ -58,6 +59,8 @@ class SimilarityIndex {
   void InsertAll(const SetCollection& collection);
 
   /// All indexed ids whose set satisfies pred(indexed, probe), ascending.
+  /// Const, but updates the mutable stats_ counters: concurrent lookups
+  /// are not safe.
   std::vector<SetId> Lookup(std::span<const ElementId> probe) const;
 
   /// Lookup returning only the best ids is intentionally absent: the
@@ -66,8 +69,10 @@ class SimilarityIndex {
   size_t size() const { return stored_.size(); }
   const IndexStats& stats() const { return stats_; }
 
-  /// The stored set for an id returned by Lookup.
+  /// The stored set for an id returned by Lookup; `id < size()`.
   std::span<const ElementId> set(SetId id) const {
+    SSJOIN_CHECK(id < size(), "SimilarityIndex::set({}) of {} sets", id,
+                 size());
     return std::span<const ElementId>(
         stored_elements_.data() + stored_[id].offset, stored_[id].size);
   }
@@ -82,7 +87,7 @@ class SimilarityIndex {
   std::shared_ptr<const Predicate> predicate_;
   std::vector<Entry> stored_;
   std::vector<ElementId> stored_elements_;  // CSR payload
-  std::unordered_map<Signature, std::vector<SetId>> postings_;
+  SignatureIndex postings_;
   mutable IndexStats stats_;
 };
 

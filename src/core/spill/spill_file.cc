@@ -80,7 +80,7 @@ Status CheckedWrite(std::FILE* file, const std::string& path,
 
 }  // namespace
 
-uint64_t BlockChecksum(const SpillPosting* postings, size_t count) {
+uint64_t BlockChecksum(const Posting* postings, size_t count) {
   uint64_t h = kChecksumSeed;
   for (size_t i = 0; i < count; ++i) {
     h = HashCombine(h, postings[i].first);
@@ -183,7 +183,7 @@ Status SpillFileWriter::Finish() {
   return Status::OK();
 }
 
-Result<std::vector<SpillPosting>> SpillFileReader::ReadAll(
+Result<std::vector<Posting>> SpillFileReader::ReadAll(
     const std::string& path, uint64_t* bytes_read) {
 #ifdef SSJOIN_FAULT_INJECT
   if (auto injected = fault::ConsumeIo(fault::IoOp::kOpen)) {
@@ -202,7 +202,7 @@ Result<std::vector<SpillPosting>> SpillFileReader::ReadAll(
   }
   // Single-exit via `fail` so the handle is closed on every path.
   Status status = Status::OK();
-  std::vector<SpillPosting> postings;
+  std::vector<Posting> postings;
   uint64_t file_bytes = 0;
   bool size_known = false;
   if (std::fseek(file, 0, SEEK_END) == 0) {

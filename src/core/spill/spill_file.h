@@ -26,17 +26,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/types.h"
 #include "util/status.h"
 
 namespace ssjoin::spill {
-
-/// One (signature, set id) occurrence — layout-compatible with the
-/// driver-internal posting type (core/driver_internal.h).
-using SpillPosting = std::pair<Signature, SetId>;
 
 /// Bytes of one serialized posting record (u64 + u32, packed).
 inline constexpr size_t kRecordBytes = 12;
@@ -84,7 +79,7 @@ class SpillFileWriter {
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  std::vector<SpillPosting> pending_;
+  std::vector<Posting> pending_;
   uint64_t bytes_written_ = 0;
 };
 
@@ -95,12 +90,12 @@ class SpillFileReader {
   /// length prefix against the bytes remaining, and each block's
   /// checksum. On success adds the file size to *bytes_read (may be
   /// null) and returns the postings in written order.
-  static Result<std::vector<SpillPosting>> ReadAll(const std::string& path,
-                                                   uint64_t* bytes_read);
+  static Result<std::vector<Posting>> ReadAll(const std::string& path,
+                                              uint64_t* bytes_read);
 };
 
 /// The block checksum: a HashCombine fold over the records, seeded so an
 /// all-zero block does not checksum to its seed.
-uint64_t BlockChecksum(const SpillPosting* postings, size_t count);
+uint64_t BlockChecksum(const Posting* postings, size_t count);
 
 }  // namespace ssjoin::spill

@@ -21,8 +21,6 @@
 namespace ssjoin::spill {
 namespace {
 
-using detail::Posting;
-
 // Partition routing. XORing a fixed seed decorrelates the partition hash
 // from detail::ShardOf's Mix64(sig), so the in-partition shard split
 // stays balanced; routing by the signature alone is what keeps every

@@ -246,12 +246,13 @@ enum class ExecutionMode {
   /// instance generates signatures for both sides.
   kBinaryJoin = 1,
   /// Pipelined self-join: sets are processed in id order against an
-  /// incrementally-built inverted index over signatures; each probe's
-  /// candidates are verified immediately (candidate generation and
+  /// incrementally-built inverted index over signatures, and candidates
+  /// are verified per unit of 1024 probe sets (candidate generation and
   /// post-filtering "performed in a pipelined fashion", Section 3's
   /// engineering note, following [6]). Identical output and
   /// signature/candidate accounting as kSelfJoin; peak memory drops from
-  /// all-candidates to per-probe (per-block when parallel).
+  /// all-candidates to one unit's candidates. The scan runs the same
+  /// loop at every thread count; threads speed up verification.
   kPipelinedSelfJoin = 2,
 };
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
 #include "baselines/prefix_filter.h"
+#include "core/driver_internal.h"
 #include "core/predicate.h"
 #include "core/signature_scheme.h"
 #include "core/types.h"
@@ -53,23 +53,87 @@ Result<std::unique_ptr<SignatureScheme>> MakeScheme(
   return Status::InvalidArgument("unknown string-join algorithm");
 }
 
-// Deduplicated signature postings (signature, id), sorted by signature.
-std::vector<std::pair<Signature, SetId>> BuildPostings(
-    const SetCollection& bags, const SignatureScheme& scheme,
-    uint64_t* signature_count) {
-  std::vector<std::pair<Signature, SetId>> postings;
-  std::vector<Signature> scratch;
-  for (SetId id = 0; id < bags.size(); ++id) {
-    scratch.clear();
-    scheme.Generate(bags.set(id), &scratch);
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                  scratch.end());
-    *signature_count += scratch.size();
-    for (Signature sig : scratch) postings.emplace_back(sig, id);
+// The Figure 2 phases over q-gram bags, shared by both entry points:
+// `s_strings == nullptr` selects the self-join.
+Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
+                                 const std::vector<std::string>* s_strings,
+                                 const StringJoinOptions& options) {
+  if (options.q == 0) {
+    return Status::InvalidArgument("StringJoin: q must be >= 1");
   }
-  std::sort(postings.begin(), postings.end());
-  return postings;
+  const bool self = s_strings == nullptr;
+  const std::vector<std::string>& s_side = self ? r_strings : *s_strings;
+  JoinResult result;
+  JoinStats& stats = result.stats;
+  obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
+  if (self) {
+    telem.Attr("mode", "string_self");
+    telem.Attr("input_sets", static_cast<uint64_t>(r_strings.size()));
+  } else {
+    telem.Attr("mode", "string_binary");
+    telem.Attr("input_sets_r", static_cast<uint64_t>(r_strings.size()));
+    telem.Attr("input_sets_s", static_cast<uint64_t>(s_side.size()));
+  }
+  uint32_t hamming_k =
+      QgramHammingThreshold(options.q, options.edit_threshold);
+
+  // Phase 1 (Figure 16): grams + signatures, "on-the-fly, in
+  // application-level code". Gram extraction is part of SigGen.
+  std::vector<Posting> postings_r, postings_s;
+  {
+    auto scope = telem.Phase(obs::kPhaseSigGen, &stats.siggen_seconds);
+    QgramExtractor extractor(QgramOptions{.q = options.q});
+    SetCollection r_bags = extractor.ExtractAllAsBags(r_strings);
+    SetCollection s_bags;
+    if (!self) s_bags = extractor.ExtractAllAsBags(s_side);
+    SSJOIN_ASSIGN_OR_RETURN(
+        std::unique_ptr<SignatureScheme> scheme,
+        MakeScheme(options, hamming_k, r_bags, self ? nullptr : &s_bags));
+    std::vector<Signature> sigs;
+    auto post = [&](const SetCollection& bags, std::vector<Posting>* out,
+                    uint64_t* count) {
+      for (SetId id = 0; id < bags.size(); ++id) {
+        detail::GenerateSorted(*scheme, bags.set(id), &sigs);
+        *count += sigs.size();
+        for (Signature sig : sigs) out->emplace_back(sig, id);
+      }
+      std::sort(out->begin(), out->end());
+    };
+    post(r_bags, &postings_r, &stats.signatures_r);
+    if (self) {
+      stats.signatures_s = stats.signatures_r;
+    } else {
+      post(s_bags, &postings_s, &stats.signatures_s);
+    }
+  }
+
+  // One shard, so the candidates come back sorted and duplicate-free.
+  detail::ShardCandidates candidates;
+  {
+    auto scope = telem.Phase(obs::kPhaseCandPair, &stats.candpair_seconds);
+    candidates = self ? detail::SelfJoinShard(postings_r, {})
+                      : detail::BinaryJoinShard(postings_r, postings_s, {});
+    stats.signature_collisions = candidates.collisions;
+    stats.candidates = candidates.packed.size();
+  }
+
+  {
+    auto scope =
+        telem.Phase(obs::kPhasePostFilter, &stats.postfilter_seconds);
+    for (uint64_t packed : candidates.packed) {
+      auto [a, b] = UnpackPair(packed);
+      if (WithinEditDistance(r_strings[a], s_side[b],
+                             options.edit_threshold)) {
+        result.pairs.emplace_back(a, b);
+        ++stats.results;
+      } else {
+        ++stats.false_positives;
+      }
+    }
+  }
+
+  telem.Attr("results", stats.results);
+  return result;
 }
 
 }  // namespace
@@ -79,156 +143,14 @@ uint32_t QgramHammingThreshold(uint32_t q, uint32_t k) { return 2 * q * k; }
 Result<JoinResult> StringSimilaritySelfJoin(
     const std::vector<std::string>& strings,
     const StringJoinOptions& options) {
-  if (options.q == 0) {
-    return Status::InvalidArgument("StringJoin: q must be >= 1");
-  }
-  JoinResult result;
-  obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
-  telem.Attr("mode", "string_self");
-  telem.Attr("input_sets", static_cast<uint64_t>(strings.size()));
-  uint32_t hamming_k =
-      QgramHammingThreshold(options.q, options.edit_threshold);
-
-  // Phase 1 (Figure 16): grams + signatures, "on-the-fly, in
-  // application-level code". Gram extraction is part of SigGen.
-  std::vector<std::pair<Signature, SetId>> postings;
-  {
-    auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    SetCollection bags = extractor.ExtractAllAsBags(strings);
-    SSJOIN_ASSIGN_OR_RETURN(
-        std::unique_ptr<SignatureScheme> scheme,
-        MakeScheme(options, hamming_k, bags, /*s_bags=*/nullptr));
-    postings = BuildPostings(bags, *scheme, &result.stats.signatures_r);
-    result.stats.signatures_s = result.stats.signatures_r;
-  }
-
-  std::unordered_set<uint64_t> candidates;
-  {
-    auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
-    size_t i = 0;
-    while (i < postings.size()) {
-      size_t j = i;
-      while (j < postings.size() && postings[j].first == postings[i].first) {
-        ++j;
-      }
-      uint64_t group = j - i;
-      result.stats.signature_collisions += group * (group - 1) / 2;
-      for (size_t a = i; a < j; ++a) {
-        for (size_t b = a + 1; b < j; ++b) {
-          SetId lo = std::min(postings[a].second, postings[b].second);
-          SetId hi = std::max(postings[a].second, postings[b].second);
-          if (lo != hi) candidates.insert(PackPair(lo, hi));
-        }
-      }
-      i = j;
-    }
-    result.stats.candidates = candidates.size();
-  }
-
-  {
-    auto scope = telem.Phase(obs::kPhasePostFilter,
-                             &result.stats.postfilter_seconds);
-    for (uint64_t packed : candidates) {
-      auto [a, b] = UnpackPair(packed);
-      if (WithinEditDistance(strings[a], strings[b],
-                             options.edit_threshold)) {
-        result.pairs.emplace_back(a, b);
-        ++result.stats.results;
-      } else {
-        ++result.stats.false_positives;
-      }
-    }
-    std::sort(result.pairs.begin(), result.pairs.end());
-  }
-
-  telem.Attr("results", result.stats.results);
-  return result;
+  return RunStringJoin(strings, /*s_strings=*/nullptr, options);
 }
 
 Result<JoinResult> StringSimilarityJoin(
     const std::vector<std::string>& r_strings,
     const std::vector<std::string>& s_strings,
     const StringJoinOptions& options) {
-  if (options.q == 0) {
-    return Status::InvalidArgument("StringJoin: q must be >= 1");
-  }
-  JoinResult result;
-  obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
-  telem.Attr("mode", "string_binary");
-  telem.Attr("input_sets_r", static_cast<uint64_t>(r_strings.size()));
-  telem.Attr("input_sets_s", static_cast<uint64_t>(s_strings.size()));
-  uint32_t hamming_k =
-      QgramHammingThreshold(options.q, options.edit_threshold);
-
-  // Gram extraction is part of SigGen, as in the self-join.
-  std::vector<std::pair<Signature, SetId>> postings_r, postings_s;
-  {
-    auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    SetCollection r_bags = extractor.ExtractAllAsBags(r_strings);
-    SetCollection s_bags = extractor.ExtractAllAsBags(s_strings);
-    SSJOIN_ASSIGN_OR_RETURN(
-        std::unique_ptr<SignatureScheme> scheme,
-        MakeScheme(options, hamming_k, r_bags, &s_bags));
-    postings_r =
-        BuildPostings(r_bags, *scheme, &result.stats.signatures_r);
-    postings_s =
-        BuildPostings(s_bags, *scheme, &result.stats.signatures_s);
-  }
-
-  std::unordered_set<uint64_t> candidates;
-  {
-    auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
-    size_t i = 0, j = 0;
-    while (i < postings_r.size() && j < postings_s.size()) {
-      Signature sig_r = postings_r[i].first;
-      Signature sig_s = postings_s[j].first;
-      if (sig_r < sig_s) {
-        ++i;
-      } else if (sig_s < sig_r) {
-        ++j;
-      } else {
-        size_t ei = i, ej = j;
-        while (ei < postings_r.size() && postings_r[ei].first == sig_r) ++ei;
-        while (ej < postings_s.size() && postings_s[ej].first == sig_r) ++ej;
-        result.stats.signature_collisions +=
-            static_cast<uint64_t>(ei - i) * (ej - j);
-        for (size_t a = i; a < ei; ++a) {
-          for (size_t b = j; b < ej; ++b) {
-            candidates.insert(
-                PackPair(postings_r[a].second, postings_s[b].second));
-          }
-        }
-        i = ei;
-        j = ej;
-      }
-    }
-    result.stats.candidates = candidates.size();
-  }
-
-  {
-    auto scope = telem.Phase(obs::kPhasePostFilter,
-                             &result.stats.postfilter_seconds);
-    for (uint64_t packed : candidates) {
-      auto [a, b] = UnpackPair(packed);
-      if (WithinEditDistance(r_strings[a], s_strings[b],
-                             options.edit_threshold)) {
-        result.pairs.emplace_back(a, b);
-        ++result.stats.results;
-      } else {
-        ++result.stats.false_positives;
-      }
-    }
-    std::sort(result.pairs.begin(), result.pairs.end());
-  }
-
-  telem.Attr("results", result.stats.results);
-  return result;
+  return RunStringJoin(r_strings, &s_strings, options);
 }
 
 }  // namespace ssjoin

@@ -16,6 +16,11 @@ namespace ssjoin {
 /// cross-structure collisions negligible at millions of sets.
 using Signature = uint64_t;
 
+/// One (signature, set id) occurrence. Sorted order groups equal
+/// signatures and, within a group, ascends by id; the spill files store
+/// postings in this layout (core/spill/spill_file.h).
+using Posting = std::pair<Signature, SetId>;
+
 /// One joined output pair (r from the left input, s from the right input;
 /// for self-joins r < s).
 using SetPair = std::pair<SetId, SetId>;

@@ -16,7 +16,7 @@
 //     the clock stays in src/obs (the `no-raw-timing` lint rule).
 //   * Stable vs runtime recording: operator and Phase() spans are
 //     kStable (the deterministic skeleton under the root); Sample()
-//     opens kRuntime spans for shard/chunk/block detail and feeds
+//     opens kRuntime spans for shard/chunk detail and feeds
 //     latency histograms.
 //
 // Construction opens the root span; destruction closes it.

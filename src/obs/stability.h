@@ -53,7 +53,6 @@ inline constexpr std::string_view kSpanCandPair = "CandPair";
 inline constexpr std::string_view kSpanPostFilter = "PostFilter";
 inline constexpr std::string_view kSpanShard = "shard";
 inline constexpr std::string_view kSpanVerifyChunk = "verify_chunk";
-inline constexpr std::string_view kSpanBlock = "block";
 
 // Span-attribute keys.
 inline constexpr std::string_view kAttrMode = "mode";
@@ -124,8 +123,6 @@ inline constexpr std::string_view kJoinShardCandidates =
 inline constexpr std::string_view kJoinShardMicros = "join.shard.micros";
 inline constexpr std::string_view kJoinVerifyChunkMicros =
     "join.verify.chunk_micros";
-inline constexpr std::string_view kJoinPipelineBlockMicros =
-    "join.pipeline.block_micros";
 // Spill accounting (emitted only when a join actually spilled): the
 // counters are deterministic for a fixed input + spill configuration.
 inline constexpr std::string_view kJoinSpillPartitions =

@@ -2,9 +2,10 @@
 // fault-injected trips in every Figure-2 phase for all three drivers,
 // real deadline / memory-budget / breaker trips, cross-thread
 // cancellation, the PartEnum advisor-retry path, and the two determinism
-// contracts — an injected trip yields identical Status and partial stats
-// at every thread count, and a guard that never trips leaves the output
-// byte-identical to an unguarded run. Runs under the asan-ubsan and tsan
+// contracts — an injected trip, or a real memory trip mid pipelined
+// scan, yields identical Status and partial stats at every thread count,
+// and a guard that never trips leaves the output byte-identical to an
+// unguarded run. Runs under the asan-ubsan and tsan
 // CI presets via `ctest -L guardrail`.
 
 #include "core/execution_guard.h"
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -285,6 +287,52 @@ TEST_F(ExecutionGuardTest, InjectedTripDeterministicAcrossThreadCounts) {
       ExpectSameStats(serial.stats, parallel.stats,
                       pipelined ? "pipelined" : "sorted");
     }
+  }
+}
+
+// The same contract for a real memory-budget trip in the middle of a
+// pipelined scan: the scan's barriers fall every 1024 sets at every
+// thread count, so the trip lands after the same unit with the same
+// partial stats. Spill is pinned off so the budget trips instead of
+// degrading (and a CI-wide SSJOIN_SPILL=force cannot reroute the run).
+TEST_F(ExecutionGuardTest, PipelinedMemoryTripDeterministicAcrossThreadCounts) {
+  UniformSetOptions workload;
+  workload.num_sets = 3000;
+  workload.set_size = 10;
+  workload.domain_size = 500;
+  workload.similar_fraction = 0;
+  SetCollection input = GenerateUniformSets(workload);
+  IdentityScheme scheme;
+  JaccardPredicate predicate(0.9);
+  auto run = [&](size_t threads, JoinPhase* phase) {
+    ExecutionBudget budget;
+    budget.memory_budget_bytes = 100000;
+    ExecutionGuard guard(budget);
+    JoinOptions options;
+    options.num_threads = threads;
+    options.guard = &guard;
+    options.spill.policy = SpillPolicy::kDisabled;
+    JoinResult result = RunPipelined(input, scheme, predicate, options);
+    EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
+        << "t=" << threads;
+    EXPECT_EQ(guard.trip_reason(), TripReason::kMemory) << "t=" << threads;
+    EXPECT_TRUE(result.pairs.empty());
+    *phase = guard.trip_phase();
+    return result;
+  };
+  JoinPhase serial_phase;
+  JoinResult serial = run(1, &serial_phase);
+  // Mid-scan: at least one whole unit ran before the trip.
+  EXPECT_GT(serial.stats.signatures_r, 0u);
+  EXPECT_LT(serial.stats.signatures_r, 3000u * 10u);
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{4}}) {
+    JoinPhase phase;
+    JoinResult parallel = run(threads, &phase);
+    EXPECT_EQ(phase, serial_phase) << "t=" << threads;
+    EXPECT_EQ(parallel.status.message(), serial.status.message())
+        << "t=" << threads;
+    std::string label = "pipelined memory trip t=" + std::to_string(threads);
+    ExpectSameStats(serial.stats, parallel.stats, label.c_str());
   }
 }
 

@@ -242,7 +242,7 @@ TEST(ParallelJoinTest, CollectionWithEmptySets) {
 
 TEST(ParallelJoinTest, DuplicateHeavyWorkload) {
   // Many identical sets: maximal candidate density, the stress case for
-  // the cross-shard union and for intra-block pipelined probing.
+  // the cross-shard union and for long pipelined index postings.
   std::vector<std::vector<ElementId>> sets(60, {1, 2, 3, 4, 5});
   sets.resize(75, {6, 7, 8});
   SetCollection input = SetCollection::FromVectors(sets);

@@ -125,6 +125,17 @@ TEST(SimilarityIndexTest, StoredSetsAccessible) {
   EXPECT_EQ(std::vector<ElementId>(stored.begin(), stored.end()), s);
 }
 
+TEST(SimilarityIndexDeathTest, SetRejectsUnknownId) {
+  auto predicate = std::make_shared<JaccardPredicate>(0.9);
+  auto scheme = PartEnumScheme::Create(PartEnumParams::Default(1));
+  ASSERT_TRUE(scheme.ok());
+  SimilarityIndex index(
+      std::make_shared<PartEnumScheme>(std::move(scheme).value()),
+      predicate);
+  index.Insert(std::vector<ElementId>{4, 7, 9});
+  EXPECT_DEATH((void)index.set(1), "SSJOIN_CHECK failed: id < size\\(\\)");
+}
+
 TEST(SimilarityIndexTest, LshSchemeHasHighRecall) {
   auto predicate = std::make_shared<JaccardPredicate>(0.8);
   auto scheme = LshScheme::Create(LshParams::ForAccuracy(0.8, 0.05, 3));

@@ -27,8 +27,8 @@ class SpillFileTest : public ::testing::Test {
 
   std::string Path(const char* name) { return dir_.FilePath(name); }
 
-  static std::vector<SpillPosting> MakePostings(size_t n) {
-    std::vector<SpillPosting> postings;
+  static std::vector<Posting> MakePostings(size_t n) {
+    std::vector<Posting> postings;
     postings.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       postings.emplace_back(Signature{0x9e3779b97f4a7c15ull * (i + 1)},
@@ -39,10 +39,10 @@ class SpillFileTest : public ::testing::Test {
 
   // Writes `postings` to `path` through the production writer.
   static uint64_t Write(const std::string& path,
-                        const std::vector<SpillPosting>& postings) {
+                        const std::vector<Posting>& postings) {
     SpillFileWriter writer;
     EXPECT_TRUE(writer.Open(path).ok());
-    for (const SpillPosting& p : postings) {
+    for (const Posting& p : postings) {
       EXPECT_TRUE(writer.Append(p.first, p.second).ok());
     }
     EXPECT_TRUE(writer.Finish().ok());
@@ -77,7 +77,7 @@ TEST_F(SpillFileTest, EmptyFileRoundtrips) {
   uint64_t written = Write(path, {});
   EXPECT_EQ(written, kHeaderBytes);
   uint64_t read = 0;
-  Result<std::vector<SpillPosting>> got =
+  Result<std::vector<Posting>> got =
       SpillFileReader::ReadAll(path, &read);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got.value().empty());
@@ -95,10 +95,10 @@ TEST_F(SpillFileTest, RoundtripsAcrossBlockBoundaries) {
     name += std::to_string(n);
     name += ".spill";
     std::string path = Path(name.c_str());
-    std::vector<SpillPosting> postings = MakePostings(n);
+    std::vector<Posting> postings = MakePostings(n);
     uint64_t written = Write(path, postings);
     uint64_t read = 0;
-    Result<std::vector<SpillPosting>> got =
+    Result<std::vector<Posting>> got =
         SpillFileReader::ReadAll(path, &read);
     ASSERT_TRUE(got.ok()) << "n=" << n << ": " << got.status().ToString();
     EXPECT_EQ(got.value(), postings) << "n=" << n;
@@ -113,7 +113,7 @@ TEST_F(SpillFileTest, BadMagicIsRejected) {
   std::string bytes = ReadBytes(path);
   bytes[0] = 'X';
   WriteBytes(path, bytes);
-  Result<std::vector<SpillPosting>> got =
+  Result<std::vector<Posting>> got =
       SpillFileReader::ReadAll(path, nullptr);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIOError);
@@ -125,7 +125,7 @@ TEST_F(SpillFileTest, WrongVersionIsRejected) {
   std::string bytes = ReadBytes(path);
   bytes[4] = static_cast<char>(kSpillFormatVersion + 1);
   WriteBytes(path, bytes);
-  Result<std::vector<SpillPosting>> got =
+  Result<std::vector<Posting>> got =
       SpillFileReader::ReadAll(path, nullptr);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIOError);
@@ -140,7 +140,7 @@ TEST_F(SpillFileTest, TruncationAnywhereIsRejected) {
   for (size_t cut : {size_t{3}, kHeaderBytes + 2, kHeaderBytes + 12 + 5,
                      bytes.size() - 1}) {
     WriteBytes(path, bytes.substr(0, cut));
-    Result<std::vector<SpillPosting>> got =
+    Result<std::vector<Posting>> got =
         SpillFileReader::ReadAll(path, nullptr);
     ASSERT_FALSE(got.ok()) << "cut=" << cut;
     EXPECT_EQ(got.status().code(), StatusCode::kIOError) << "cut=" << cut;
@@ -155,7 +155,7 @@ TEST_F(SpillFileTest, OversizedBlockCountIsRejectedBeforeAllocation) {
   // the length prefix against the bytes remaining, not allocate 48 GiB.
   for (size_t i = 0; i < 4; ++i) bytes[kHeaderBytes + i] = '\xff';
   WriteBytes(path, bytes);
-  Result<std::vector<SpillPosting>> got =
+  Result<std::vector<Posting>> got =
       SpillFileReader::ReadAll(path, nullptr);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIOError);
@@ -167,7 +167,7 @@ TEST_F(SpillFileTest, BitFlipInPayloadFailsChecksum) {
   std::string bytes = ReadBytes(path);
   bytes[bytes.size() / 2] ^= 0x10;
   WriteBytes(path, bytes);
-  Result<std::vector<SpillPosting>> got =
+  Result<std::vector<Posting>> got =
       SpillFileReader::ReadAll(path, nullptr);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIOError);
@@ -176,15 +176,15 @@ TEST_F(SpillFileTest, BitFlipInPayloadFailsChecksum) {
 }
 
 TEST_F(SpillFileTest, ChecksumDependsOnOrderAndCount) {
-  std::vector<SpillPosting> a = MakePostings(8);
-  std::vector<SpillPosting> b = a;
+  std::vector<Posting> a = MakePostings(8);
+  std::vector<Posting> b = a;
   std::swap(b[0], b[1]);
   EXPECT_NE(BlockChecksum(a.data(), a.size()),
             BlockChecksum(b.data(), b.size()));
   EXPECT_NE(BlockChecksum(a.data(), a.size()),
             BlockChecksum(a.data(), a.size() - 1));
   // The seed keeps the empty/zero block away from a trivial value.
-  SpillPosting zero{0, 0};
+  Posting zero{0, 0};
   EXPECT_NE(BlockChecksum(&zero, 1), 0u);
 }
 
@@ -200,7 +200,7 @@ TEST_F(SpillFileTest, FinishIsIdempotent) {
 }
 
 TEST_F(SpillFileTest, MissingFileIsAnError) {
-  Result<std::vector<SpillPosting>> got =
+  Result<std::vector<Posting>> got =
       SpillFileReader::ReadAll(Path("does-not-exist.spill"), nullptr);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIOError);

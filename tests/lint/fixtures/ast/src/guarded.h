@@ -2,8 +2,8 @@
 //
 // In a class that owns a util::Mutex, every mutable data member must
 // carry SSJOIN_GUARDED_BY (or an allow-comment); classes without a
-// Mutex member are out of the rule's scope. Minimal local stand-ins for
-// the macro and Mutex keep the fixture parseable standalone.
+// Mutex member are out of the rule's scope. Local stand-ins for the
+// macro and Mutex keep the fixture self-contained; the lint keys on names.
 #pragma once
 
 #define SSJOIN_GUARDED_BY(x)

@@ -3,8 +3,8 @@
 // Every class deriving from the pipeline Operator base must override
 // Close() (it records the PlanOp for the explain plan tree). Classes
 // with other bases — or no base — are out of the rule's scope. A
-// minimal local stand-in for the base keeps the fixture parseable
-// standalone; the rule keys on the unqualified base name.
+// minimal local stand-in for the base keeps the fixture self-contained;
+// the rule keys on the unqualified base name.
 
 namespace pipeline {
 

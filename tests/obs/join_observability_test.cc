@@ -136,9 +136,8 @@ TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
   request.predicate = &predicate;
   request.mode = ExecutionMode::kPipelinedSelfJoin;
 
-  // The serial and block-parallel pipelined loops differ, but only
-  // below the PipelinedScan operator: the chain — and so the stable
-  // operator skeleton — is the same at every thread count. The
+  // The PipelinedScan loop is the same at every thread count, and so is
+  // the chain — and with it the stable operator skeleton. The
   // pipelined_scan source is a property of the in-memory path (the
   // spilled rerun's source is spill_partition), so pin the policy rather
   // than inherit a CI-wide SSJOIN_SPILL=force.
