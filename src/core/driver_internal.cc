@@ -8,10 +8,10 @@
 #include "core/driver_internal.h"
 
 #include <algorithm>
-#include <iterator>
+#include <bit>
+#include <limits>
 #include <utility>
 
-#include "core/kernels/flat_set.h"
 #include "util/hashing.h"
 
 namespace ssjoin::detail {
@@ -32,245 +32,248 @@ void GenerateSorted(const SignatureScheme& scheme,
                  scratch->end());
 }
 
-// Shard assignment for candidate generation. All postings of one
-// signature land in one shard, so a signature group never straddles
-// shards: per-shard collision counts sum to exactly the serial total,
-// and the Section 4 / Theorem 2 accounting is preserved.
-size_t ShardOf(Signature sig, size_t shards) {
-  return shards == 1 ? 0 : static_cast<size_t>(Mix64(sig) % shards);
-}
-
 namespace {
 
-// Occurrence-count cutoff for the flat dedup table. Below it the table
-// (sized for every insertion up front, so it never rehashes) stays
-// cache-resident and one Mix64 probe per occurrence beats sort+unique
-// handily; above it every probe is a cache miss into a multi-MiB table
-// and the sequential sort wins back. Both paths produce the identical
-// sorted duplicate-free vector, so the switch is invisible in output.
-constexpr uint64_t kFlatDedupMaxInsertions = 1ull << 17;
+// Probe sets per morsel: the unit of work handed to a worker, fixed so
+// that morsel boundaries never depend on the thread count.
+constexpr size_t kProbeMorselSets = 1024;
 
-// Dedup sink for the candidate shards: flat table or occurrence vector
-// chosen once per shard from the exact insertion count.
-class CandidateDedup {
- public:
-  explicit CandidateDedup(uint64_t expected_insertions) {
-    use_flat_ = expected_insertions <= kFlatDedupMaxInsertions;
-    if (use_flat_) {
-      flat_.Reserve(static_cast<size_t>(expected_insertions));
-    } else {
-      occurrences_.reserve(static_cast<size_t>(expected_insertions));
+// Postings per grouping bucket on average: small enough that a bucket
+// sorts inside the cache.
+constexpr size_t kPostingsPerBucket = 1024;
+
+// Reorders *postings so that each signature's postings are contiguous,
+// ids ascending: a counting scatter into `buckets` (a power of two)
+// buckets by the low bits of Mix64(sig), then each bucket sorted on the
+// pool. Returns the buckets + 1 bucket bounds. Groups come out in hash
+// order, which nothing downstream depends on.
+std::vector<size_t> GroupBySignature(std::vector<Posting>* postings,
+                                     size_t buckets, ThreadPool& pool) {
+  auto bucket_of = [buckets](Signature sig) {
+    return static_cast<size_t>(Mix64(sig) & (buckets - 1));
+  };
+  std::vector<size_t> bounds(buckets + 1, 0);
+  for (const Posting& p : *postings) ++bounds[bucket_of(p.first) + 1];
+  for (size_t b = 0; b < buckets; ++b) bounds[b + 1] += bounds[b];
+  std::vector<Posting> grouped(postings->size());
+  std::vector<size_t> fill(bounds.begin(), bounds.end() - 1);
+  for (const Posting& p : *postings) grouped[fill[bucket_of(p.first)]++] = p;
+  *postings = std::move(grouped);
+  ParallelFor(pool, buckets, [&](size_t begin, size_t end, size_t) {
+    for (size_t b = begin; b < end; ++b) {
+      std::sort(postings->begin() + bounds[b],
+                postings->begin() + bounds[b + 1]);
     }
-  }
+  });
+  return bounds;
+}
 
-  void Insert(uint64_t key) {
-    if (use_flat_) {
-      flat_.Insert(key);
-    } else {
-      occurrences_.push_back(key);
-    }
-  }
-
-  std::vector<uint64_t> ExtractSorted() {
-    if (use_flat_) return flat_.ExtractSorted();
-    std::sort(occurrences_.begin(), occurrences_.end());
-    occurrences_.erase(
-        std::unique(occurrences_.begin(), occurrences_.end()),
-        occurrences_.end());
-    return std::move(occurrences_);
-  }
-
- private:
-  bool use_flat_ = true;
-  kernels::FlatU64Set flat_;
-  std::vector<uint64_t> occurrences_;
-};
+// End of the signature group starting at postings[i].
+size_t GroupEnd(const std::vector<Posting>& postings, size_t i) {
+  size_t j = i;
+  while (j < postings.size() && postings[j].first == postings[i].first) ++j;
+  return j;
+}
 
 }  // namespace
 
-// Self-join candidate generation over one shard's sorted postings.
-// Within a signature group the (sig, id) postings are unique and sorted,
-// so ids ascend: a < b already yields first < second.
-ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
-                              const std::function<bool()>& stop) {
-  ShardCandidates out;
-  // Pre-scan the signature groups for the exact insertion count
-  // (== collisions >= distinct candidates): one sequential pass picks
-  // the dedup strategy and sizes it in a single allocation.
-  uint64_t expected = 0;
-  for (size_t g = 0; g < postings.size();) {
-    size_t h = g;
-    while (h < postings.size() && postings[h].first == postings[g].first) {
-      ++h;
-    }
-    uint64_t group = h - g;
-    expected += group * (group - 1) / 2;
-    g = h;
-  }
-  CandidateDedup dedup(expected);
-  size_t i = 0;
-  uint64_t groups = 0;
-  while (i < postings.size()) {
-    if (stop && (groups++ & 63u) == 0 && stop()) break;
-    size_t j = i;
-    while (j < postings.size() && postings[j].first == postings[i].first) {
-      ++j;
-    }
-    uint64_t group = j - i;
-    out.collisions += group * (group - 1) / 2;
-    for (size_t a = i; a < j; ++a) {
-      for (size_t b = a + 1; b < j; ++b) {
-        dedup.Insert(PackPair(postings[a].second, postings[b].second));
-      }
-    }
-    i = j;
-  }
-  out.packed = dedup.ExtractSorted();
-  return out;
-}
-
-// Binary-join candidate generation: merge-join of the two shard slices.
-ShardCandidates BinaryJoinShard(const std::vector<Posting>& postings_r,
-                                const std::vector<Posting>& postings_s,
-                                const std::function<bool()>& stop) {
-  ShardCandidates out;
-  // Same exact-insertion-count pre-scan as SelfJoinShard, via a dry
-  // merge over the two posting lists.
-  uint64_t expected = 0;
-  for (size_t gi = 0, gj = 0;
-       gi < postings_r.size() && gj < postings_s.size();) {
-    Signature sr = postings_r[gi].first;
-    Signature ss = postings_s[gj].first;
-    if (sr < ss) {
-      ++gi;
-    } else if (ss < sr) {
-      ++gj;
-    } else {
-      size_t ei = gi, ej = gj;
-      while (ei < postings_r.size() && postings_r[ei].first == sr) ++ei;
-      while (ej < postings_s.size() && postings_s[ej].first == sr) ++ej;
-      expected += static_cast<uint64_t>(ei - gi) * (ej - gj);
-      gi = ei;
-      gj = ej;
-    }
-  }
-  CandidateDedup dedup(expected);
-  size_t i = 0, j = 0;
-  uint64_t iters = 0;
-  while (i < postings_r.size() && j < postings_s.size()) {
-    if (stop && (iters++ & 1023u) == 0 && stop()) break;
-    Signature sig_r = postings_r[i].first;
-    Signature sig_s = postings_s[j].first;
-    if (sig_r < sig_s) {
-      ++i;
-    } else if (sig_s < sig_r) {
-      ++j;
-    } else {
-      size_t ei = i, ej = j;
-      while (ei < postings_r.size() && postings_r[ei].first == sig_r) ++ei;
-      while (ej < postings_s.size() && postings_s[ej].first == sig_r) ++ej;
-      out.collisions += static_cast<uint64_t>(ei - i) * (ej - j);
-      for (size_t a = i; a < ei; ++a) {
-        for (size_t b = j; b < ej; ++b) {
-          dedup.Insert(PackPair(postings_r[a].second, postings_s[b].second));
+ProbeIndex BuildProbeIndex(std::vector<Posting>* postings_r, size_t sets_r,
+                           std::vector<Posting>* postings_s, size_t sets_s,
+                           ThreadPool& pool) {
+  ProbeIndex index;
+  const size_t total =
+      postings_r->size() + (postings_s != nullptr ? postings_s->size() : 0);
+  const size_t buckets =
+      std::bit_ceil(std::max<size_t>(1, total / kPostingsPerBucket));
+  const std::vector<size_t> bounds_r =
+      GroupBySignature(postings_r, buckets, pool);
+  // (probe set, partner range) in group order, bucketed by probe set
+  // below.
+  std::vector<std::pair<SetId, std::pair<size_t, size_t>>> entries;
+  if (postings_s == nullptr) {
+    index.indexed_sets = sets_r;
+    for (size_t i = 0; i < postings_r->size();) {
+      size_t j = GroupEnd(*postings_r, i);
+      if (j - i >= 2) {
+        const size_t base = index.ids.size();
+        for (size_t a = i; a < j; ++a) {
+          index.ids.push_back((*postings_r)[a].second);
+          // Ids ascend within a group: r's partners are the ids after it.
+          if (a + 1 < j) {
+            entries.push_back({(*postings_r)[a].second,
+                               {base + (a - i) + 1, base + (j - i)}});
+          }
         }
       }
-      i = ei;
-      j = ej;
+      i = j;
+    }
+  } else {
+    index.indexed_sets = sets_s;
+    const std::vector<size_t> bounds_s =
+        GroupBySignature(postings_s, buckets, pool);
+    // Both sides share the bucket function, so a signature's R and S
+    // groups sit in the same bucket: merge-join bucket by bucket.
+    for (size_t bucket = 0; bucket < buckets; ++bucket) {
+      for (size_t i = bounds_r[bucket], k = bounds_s[bucket];
+           i < bounds_r[bucket + 1] && k < bounds_s[bucket + 1];) {
+        Signature sig_r = (*postings_r)[i].first;
+        Signature sig_s = (*postings_s)[k].first;
+        if (sig_r < sig_s) {
+          i = GroupEnd(*postings_r, i);
+        } else if (sig_s < sig_r) {
+          k = GroupEnd(*postings_s, k);
+        } else {
+          size_t j = GroupEnd(*postings_r, i);
+          size_t l = GroupEnd(*postings_s, k);
+          const size_t base = index.ids.size();
+          for (size_t b = k; b < l; ++b) {
+            index.ids.push_back((*postings_s)[b].second);
+          }
+          for (size_t a = i; a < j; ++a) {
+            entries.push_back(
+                {(*postings_r)[a].second, {base, base + (l - k)}});
+          }
+          i = j;
+          k = l;
+        }
+      }
     }
   }
-  out.packed = dedup.ExtractSorted();
+  index.offsets.assign(sets_r + 1, 0);
+  for (const auto& entry : entries) ++index.offsets[entry.first + 1];
+  for (size_t r = 0; r < sets_r; ++r) {
+    index.offsets[r + 1] += index.offsets[r];
+  }
+  index.ranges.resize(entries.size());
+  std::vector<size_t> fill(index.offsets.begin(), index.offsets.end() - 1);
+  for (const auto& entry : entries) {
+    index.ranges[fill[entry.first]++] = entry.second;
+  }
+  return index;
+}
+
+PairBitmap::PairBitmap(const SetCollection& left, const SetCollection* right,
+                       const Predicate& predicate, uint32_t bits,
+                       ThreadPool& pool)
+    : sets_l_(&left), sets_r_(right), predicate_(&predicate) {
+  // Row contents are per-set independent, so the tables are
+  // byte-identical for every thread count.
+  auto build = [&](const SetCollection& input) {
+    kernels::BitmapTable table =
+        kernels::BitmapTable::Prepare(input.size(), bits);
+    ParallelFor(pool, input.size(), [&](size_t begin, size_t end, size_t) {
+      table.BuildRange(input, begin, end);
+    });
+    return table;
+  };
+  left_ = build(left);
+  if (right != nullptr) right_ = build(*right);
+}
+
+ProbedCandidates ProbeAll(const ProbeIndex& index, bool keep,
+                          const PairBitmap& bitmap, ThreadPool& pool,
+                          const std::function<bool()>& stop,
+                          obs::JoinTelemetry* telem) {
+  const size_t sets = index.offsets.empty() ? 0 : index.offsets.size() - 1;
+  const size_t morsels = (sets + kProbeMorselSets - 1) / kProbeMorselSets;
+  ProbedCandidates out;
+  out.ends.resize(sets);
+  std::vector<std::vector<uint64_t>> kept(morsels);
+  std::vector<uint64_t> collisions(pool.size(), 0);
+  obs::MetricsRegistry* metrics = telem->metrics();
+  obs::Histogram* shard_candidates =
+      metrics != nullptr ? &metrics->histogram("join.shard.candidates")
+                         : nullptr;
+  obs::Histogram* shard_micros =
+      metrics != nullptr ? &metrics->histogram("join.shard.micros") : nullptr;
+  pool.RunOnAll([&](size_t worker) {
+    uint64_t candidates = 0;
+    uint64_t gathered = 0;
+    {
+      // Runtime span per worker (lane = worker + 1; lane 0 is the
+      // control thread) — excluded from the deterministic export.
+      auto sample = telem->Sample("shard", shard_micros,
+                                  static_cast<uint32_t>(worker) + 1);
+      std::vector<SetId> stamp;
+      std::vector<SetId> distinct;
+      uint64_t checked = 0, pruned = 0;
+      for (size_t m = worker; m < morsels; m += pool.size()) {
+        if (stop && stop()) break;
+        if (stamp.empty()) {
+          stamp.assign(index.indexed_sets,
+                       std::numeric_limits<SetId>::max());
+        }
+        const size_t end = std::min(sets, (m + 1) * kProbeMorselSets);
+        for (size_t r = m * kProbeMorselSets; r < end; ++r) {
+          const SetId id = static_cast<SetId>(r);
+          distinct.clear();
+          for (size_t e = index.offsets[r]; e < index.offsets[r + 1]; ++e) {
+            auto [first, last] = index.ranges[e];
+            gathered += last - first;
+            for (size_t p = first; p < last; ++p) {
+              SetId partner = index.ids[p];
+              if (stamp[partner] != id) {
+                stamp[partner] = id;
+                distinct.push_back(partner);
+              }
+            }
+          }
+          out.ends[r] = distinct.size();
+          candidates += distinct.size();
+          if (!keep) continue;
+          std::vector<uint64_t>& mine = kept[m];
+          const size_t mark = mine.size();
+          for (SetId partner : distinct) {
+            if (!bitmap.Prunes(id, partner, &checked, &pruned)) {
+              mine.push_back(PackPair(id, partner));
+            }
+          }
+          std::sort(mine.begin() + mark, mine.end());
+        }
+      }
+      if (sample.span() != obs::kNoSpan) {
+        telem->tracer()->SetAttr(sample.span(), "candidates", candidates);
+      }
+    }
+    collisions[worker] = gathered;
+    if (shard_candidates != nullptr) shard_candidates->Record(candidates);
+  });
+  for (uint64_t c : collisions) out.collisions += c;
+  for (size_t r = 1; r < sets; ++r) out.ends[r] += out.ends[r - 1];
+  size_t total_kept = 0;
+  for (const std::vector<uint64_t>& part : kept) total_kept += part.size();
+  out.kept.reserve(total_kept);
+  for (const std::vector<uint64_t>& part : kept) {
+    out.kept.insert(out.kept.end(), part.begin(), part.end());
+  }
   return out;
 }
 
-// Unions sorted duplicate-free candidate lists: log2(n) pairwise
-// set_union rounds, the merges of each round running in parallel.
-std::vector<uint64_t> UnionShards(std::vector<std::vector<uint64_t>> lists,
-                                  ThreadPool& pool,
-                                  const std::function<bool()>& stop) {
-  if (lists.empty()) return {};
-  while (lists.size() > 1) {
-    size_t pairs = lists.size() / 2;
-    std::vector<std::vector<uint64_t>> next(pairs + lists.size() % 2);
-    ParallelFor(pool, pairs, [&](size_t begin, size_t end, size_t) {
-      for (size_t p = begin; p < end; ++p) {
-        if (stop && stop()) return;
-        const std::vector<uint64_t>& a = lists[2 * p];
-        const std::vector<uint64_t>& b = lists[2 * p + 1];
-        std::vector<uint64_t> merged;
-        merged.reserve(a.size() + b.size());
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                       std::back_inserter(merged));
-        next[p] = std::move(merged);
-      }
-    });
-    if (lists.size() % 2) next.back() = std::move(lists.back());
-    lists = std::move(next);
-    if (stop && stop()) break;
-  }
-  return std::move(lists[0]);
-}
-
-// Shared candidate-generation phase: run `shard_fn` per pool shard, then
-// union the shard outputs. Fills stats->signature_collisions /
-// stats->candidates and returns the global sorted duplicate-free
-// candidate vector.
-std::vector<uint64_t> GenerateCandidates(
-    ThreadPool& pool,
-    const std::function<ShardCandidates(size_t)>& shard_fn,
-    const std::function<bool()>& stop, JoinStats* stats,
-    obs::JoinTelemetry* telem) {
-  size_t shards = pool.size();
-  std::vector<ShardCandidates> per_shard(shards);
-  obs::Histogram* shard_candidates =
-      telem->metrics() != nullptr
-          ? &telem->metrics()->histogram("join.shard.candidates")
-          : nullptr;
-  obs::Histogram* shard_micros =
-      telem->metrics() != nullptr
-          ? &telem->metrics()->histogram("join.shard.micros")
-          : nullptr;
-  pool.RunOnAll([&](size_t shard) {
-    {
-      // Runtime span per shard (lane = shard + 1; lane 0 is the control
-      // thread) — excluded from the deterministic export.
-      auto sample = telem->Sample("shard", shard_micros,
-                                  static_cast<uint32_t>(shard) + 1);
-      per_shard[shard] = shard_fn(shard);
-      if (sample.span() != obs::kNoSpan) {
-        telem->tracer()->SetAttr(
-            sample.span(), "candidates",
-            static_cast<uint64_t>(per_shard[shard].packed.size()));
-      }
+size_t KeptBefore(const ProbeIndex& index,
+                  const ProbedCandidates& candidates, uint64_t pos) {
+  if (pos >= candidates.total()) return candidates.kept.size();
+  // The probe set whose candidates cover `pos`.
+  const size_t r = static_cast<size_t>(
+      std::upper_bound(candidates.ends.begin(), candidates.ends.end(), pos) -
+      candidates.ends.begin());
+  const uint64_t first = r == 0 ? 0 : candidates.ends[r - 1];
+  SetId cut = 0;
+  if (pos > first) {
+    std::vector<SetId> partners;
+    for (size_t e = index.offsets[r]; e < index.offsets[r + 1]; ++e) {
+      partners.insert(partners.end(),
+                      index.ids.begin() + index.ranges[e].first,
+                      index.ids.begin() + index.ranges[e].second);
     }
-    if (shard_candidates != nullptr) {
-      shard_candidates->Record(per_shard[shard].packed.size());
-    }
-  });
-  std::vector<std::vector<uint64_t>> lists;
-  lists.reserve(shards);
-  for (ShardCandidates& sc : per_shard) {
-    stats->signature_collisions += sc.collisions;
-    lists.push_back(std::move(sc.packed));
+    std::sort(partners.begin(), partners.end());
+    partners.erase(std::unique(partners.begin(), partners.end()),
+                   partners.end());
+    cut = partners[pos - first];
   }
-  std::vector<uint64_t> candidates =
-      UnionShards(std::move(lists), pool, stop);
-  stats->candidates = candidates.size();
-  return candidates;
-}
-
-// Builds the XOR bitmap signature table for `input` with the rows
-// sharded across the pool. Row contents are per-set independent, so the
-// table is byte-identical for every thread count.
-kernels::BitmapTable BuildBitmap(const SetCollection& input, uint32_t bits,
-                                 ThreadPool& pool) {
-  kernels::BitmapTable table =
-      kernels::BitmapTable::Prepare(input.size(), bits);
-  ParallelFor(pool, input.size(),
-              [&](size_t begin, size_t end, size_t) {
-                table.BuildRange(input, begin, end);
-              });
-  return table;
+  return static_cast<size_t>(
+      std::lower_bound(candidates.kept.begin(), candidates.kept.end(),
+                       PackPair(static_cast<SetId>(r), cut)) -
+      candidates.kept.begin());
 }
 
 }  // namespace ssjoin::detail

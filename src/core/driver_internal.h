@@ -25,11 +25,9 @@
 #include "core/kernels/bitmap_filter.h"
 #include "core/predicate.h"
 #include "core/signature_scheme.h"
-#include "core/ssjoin.h"
 #include "core/types.h"
 #include "data/collection.h"
 #include "obs/join_telemetry.h"
-#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin::detail {
@@ -45,68 +43,115 @@ void GenerateSorted(const SignatureScheme& scheme,
                     std::span<const ElementId> set,
                     std::vector<Signature>* scratch);
 
-// Shard assignment for candidate generation. All postings of one
-// signature land in one shard, so a signature group never straddles
-// shards: per-shard collision counts sum to exactly the serial total.
-size_t ShardOf(Signature sig, size_t shards);
+// The settled signature index of one join (DESIGN.md Section 6.1):
+// the (sig, id) postings grouped by signature, restricted to the groups
+// that can yield a pair, plus each probe set's partner ranges into
+// them. A self-join probe set r ranges over the ids above r in each of
+// its groups, so every pair is generated from its smaller id; a binary
+// join indexes S and gives each R set the whole S group of every shared
+// signature.
+struct ProbeIndex {
+  // Indexed ids, group by group, ascending within a group.
+  std::vector<SetId> ids;
+  // Probe set r's partner ranges are ranges[offsets[r], offsets[r + 1]),
+  // each a half-open [begin, end) into ids.
+  std::vector<size_t> offsets;
+  std::vector<std::pair<size_t, size_t>> ranges;
+  // Size of the indexed collection (the dedup stamp array's length).
+  size_t indexed_sets = 0;
 
-// One shard's candidate output: packed pairs, sorted and duplicate-free
-// within the shard (a pair can still surface in two shards via two
-// different signatures; UnionShards removes those).
-struct ShardCandidates {
-  std::vector<uint64_t> packed;
-  uint64_t collisions = 0;
+  size_t size_bytes() const {
+    return ids.size() * sizeof(SetId) + offsets.size() * sizeof(size_t) +
+           ranges.size() * sizeof(ranges[0]);
+  }
 };
 
-// Self-join candidate generation over one shard's sorted postings.
-ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
-                              const std::function<bool()>& stop);
+// Builds the index from unsorted postings: the self-join index over
+// `postings_r` when `postings_s` is null, else S indexed and probed by
+// R. Groups the postings by signature on the pool, consuming
+// (reordering) the posting vectors. The index is the same at every
+// thread count.
+ProbeIndex BuildProbeIndex(std::vector<Posting>* postings_r, size_t sets_r,
+                           std::vector<Posting>* postings_s, size_t sets_s,
+                           ThreadPool& pool);
 
-// Binary-join candidate generation: merge-join of the two shard slices.
-ShardCandidates BinaryJoinShard(const std::vector<Posting>& postings_r,
-                                const std::vector<Posting>& postings_s,
-                                const std::function<bool()>& stop);
+// Candidate generation's output. Candidates are the distinct pairs that
+// share a signature, in (r, s) order; `ends` places them without
+// materializing them, and only the pairs the caller keeps are stored.
+struct ProbedCandidates {
+  // Total (signature, partner) matches before dedup.
+  uint64_t collisions = 0;
+  // ends[r]: distinct candidates of probe sets 0..r, i.e. the offset
+  // where r's candidates end in (r, s) order.
+  std::vector<uint64_t> ends;
+  // The kept candidates, PackPair(r, s)ed, in (r, s) order.
+  std::vector<uint64_t> kept;
 
-// Unions sorted duplicate-free candidate lists: log2(n) pairwise
-// set_union rounds, the merges of each round running in parallel.
-std::vector<uint64_t> UnionShards(std::vector<std::vector<uint64_t>> lists,
-                                  ThreadPool& pool,
-                                  const std::function<bool()>& stop);
+  uint64_t total() const { return ends.empty() ? 0 : ends.back(); }
+};
 
-// Shared candidate-generation phase: run `shard_fn` per pool shard, then
-// union the shard outputs. Adds into stats->signature_collisions, sets
-// stats->candidates, and returns the global sorted duplicate-free
-// candidate vector.
-std::vector<uint64_t> GenerateCandidates(
-    ThreadPool& pool,
-    const std::function<ShardCandidates(size_t)>& shard_fn,
-    const std::function<bool()>& stop, JoinStats* stats,
-    obs::JoinTelemetry* telem);
+// The XOR bitmap pre-filter of one join (DESIGN.md Section 11.2): one
+// table per side; a self-join tests both ids against the left table.
+// Default-constructed it is off: Prunes() keeps every pair and counts
+// nothing.
+class PairBitmap {
+ public:
+  PairBitmap() = default;
+  PairBitmap(const SetCollection& left, const SetCollection* right,
+             const Predicate& predicate, uint32_t bits, ThreadPool& pool);
 
-// Builds the XOR bitmap signature table for `input` with the rows
-// sharded across the pool (byte-identical for every thread count).
-kernels::BitmapTable BuildBitmap(const SetCollection& input, uint32_t bits,
-                                 ThreadPool& pool);
-
-// The bitmap pre-filter step shared by all verify loops: returns true
-// when the pair was pruned (provably non-matching). Pruned pairs count
-// as false positives, so results/false_positives stay byte-identical
-// with the filter on or off.
-inline bool BitmapPrunes(const kernels::BitmapTable* bm_r,
-                         const kernels::BitmapTable* bm_s,
-                         const Predicate& predicate, SetId id_r, SetId id_s,
-                         size_t size_r, size_t size_s, uint64_t* checked,
-                         uint64_t* pruned) {
-  if (bm_r == nullptr) return false;
-  ++*checked;
-  if (kernels::BitmapTable::MayMatch(predicate, bm_r->row(id_r),
-                                     bm_s->row(id_s), bm_r->words_per_set(),
-                                     static_cast<uint32_t>(size_r),
-                                     static_cast<uint32_t>(size_s))) {
-    return false;
+  size_t size_bytes() const {
+    return left_.size_bytes() + right_.size_bytes();
   }
-  ++*pruned;
-  return true;
-}
+  // The bitmap test of one pair: true when the pair is provably
+  // non-matching. Pruned pairs count as false positives, so
+  // results/false_positives stay byte-identical with the filter on or
+  // off.
+  bool Prunes(SetId id_r, SetId id_s, uint64_t* checked,
+              uint64_t* pruned) const {
+    if (predicate_ == nullptr) return false;
+    ++*checked;
+    const kernels::BitmapTable& right = sets_r_ != nullptr ? right_ : left_;
+    const SetCollection& sets_r = sets_r_ != nullptr ? *sets_r_ : *sets_l_;
+    if (kernels::BitmapTable::MayMatch(*predicate_, left_.row(id_r),
+                                       right.row(id_s),
+                                       left_.words_per_set(),
+                                       sets_l_->set_size(id_r),
+                                       sets_r.set_size(id_s))) {
+      return false;
+    }
+    ++*pruned;
+    return true;
+  }
+
+ private:
+  kernels::BitmapTable left_;
+  kernels::BitmapTable right_;
+  const SetCollection* sets_l_ = nullptr;
+  const SetCollection* sets_r_ = nullptr;
+  const Predicate* predicate_ = nullptr;
+};
+
+// The one candidate generator: probes every set of the index in
+// fixed-size morsels of consecutive sets spread over the pool. Each
+// probe gathers its partners, dedups them with a per-worker stamp array
+// and, when `keep`, runs the bitmap test on each distinct partner and
+// keeps the survivors, sorted. Morsel outputs concatenate in set order,
+// so the result is identical at every thread count. With `keep` false
+// nothing is kept and no bitmap test runs (a join without
+// verification). `stop` is polled per morsel; after it fires the output
+// is partial and must be discarded. `telem` gets one "shard" sample per
+// worker.
+ProbedCandidates ProbeAll(const ProbeIndex& index, bool keep,
+                          const PairBitmap& bitmap, ThreadPool& pool,
+                          const std::function<bool()>& stop,
+                          obs::JoinTelemetry* telem);
+
+// Index into `candidates.kept` of the first kept pair at or after
+// candidate offset `pos` (pos <= total()). When `pos` falls inside one
+// probe set's candidates, that set is re-probed and its partners sorted
+// to find where the cut lands.
+size_t KeptBefore(const ProbeIndex& index,
+                  const ProbedCandidates& candidates, uint64_t pos);
 
 }  // namespace ssjoin::detail

@@ -1,8 +1,8 @@
 #include "core/pipeline/candidate_gen_operator.h"
 
-#include <functional>
+#include <algorithm>
+#include <vector>
 
-#include "core/driver_internal.h"
 #include "core/execution_guard.h"
 #include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
@@ -10,48 +10,15 @@
 namespace ssjoin::pipeline {
 namespace {
 
-// Scatters a CSR chunk into per-(producer, shard) posting buckets.
-// Producer c writes only buckets[c * shards + *], so the pass is
-// race-free; shard s later reads buckets[* * shards + s].
-std::vector<std::vector<Posting>> BucketPostings(const SignatureChunk& table,
-                                                 ThreadPool& pool,
-                                                 ExecutionGuard* guard) {
-  size_t shards = pool.size();
-  std::vector<std::vector<Posting>> buckets(shards * shards);
-  size_t num_sets = table.offsets.size() - 1;
-  ParallelFor(
-      pool, num_sets,
-      [&](size_t begin, size_t end, size_t c) {
-        std::vector<Posting>* mine = &buckets[c * shards];
-        for (size_t id = begin; id < end; ++id) {
-          for (size_t i = table.offsets[id]; i < table.offsets[id + 1];
-               ++i) {
-            Signature sig = table.values[i];
-            mine[detail::ShardOf(sig, shards)].emplace_back(
-                sig, static_cast<SetId>(id));
-          }
-        }
-      },
-      detail::StopFn(guard, JoinPhase::kCandGen));
-  return buckets;
-}
-
-// Concatenates shard `shard`'s buckets (in producer order) and sorts,
-// yielding this shard's slice of the sorted posting list.
-std::vector<Posting> ShardPostings(
-    const std::vector<std::vector<Posting>>& buckets, size_t shards,
-    size_t shard) {
+// The (sig, id) postings of a CSR signature table, in set order.
+std::vector<Posting> Postings(const SignatureChunk& table) {
   std::vector<Posting> postings;
-  size_t total = 0;
-  for (size_t p = 0; p < shards; ++p) {
-    total += buckets[p * shards + shard].size();
+  postings.reserve(table.values.size());
+  for (size_t id = 0; id + 1 < table.offsets.size(); ++id) {
+    for (size_t i = table.offsets[id]; i < table.offsets[id + 1]; ++i) {
+      postings.emplace_back(table.values[i], static_cast<SetId>(id));
+    }
   }
-  postings.reserve(total);
-  for (size_t p = 0; p < shards; ++p) {
-    const std::vector<Posting>& bucket = buckets[p * shards + shard];
-    postings.insert(postings.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(postings.begin(), postings.end());
   return postings;
 }
 
@@ -61,7 +28,6 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
   ExecutionGuard* guard = ctx_->guard;
   JoinStats& stats = ctx_->result->stats;
   const JoinOptions& options = *ctx_->options;
-  ThreadPool& pool = *ctx_->pool;
   SignatureChunk* table_l = sigs->signatures_l;
   SignatureChunk* table_r = sigs->signatures_r;
   const bool binary = table_r != nullptr;
@@ -90,40 +56,35 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
 
-  size_t shards = pool.size();
-  std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
-  if (!binary) {
-    std::vector<std::vector<Posting>> buckets =
-        BucketPostings(*table_l, pool, guard);
-    candidates_ = detail::GenerateCandidates(
-        pool,
-        [&](size_t shard) {
-          return detail::SelfJoinShard(ShardPostings(buckets, shards, shard),
-                                       stop);
-        },
-        stop, &stats, ctx_->telem);
-  } else {
-    std::vector<std::vector<Posting>> buckets_r =
-        BucketPostings(*table_l, pool, guard);
-    std::vector<std::vector<Posting>> buckets_s =
-        BucketPostings(*table_r, pool, guard);
-    candidates_ = detail::GenerateCandidates(
-        pool,
-        [&](size_t shard) {
-          return detail::BinaryJoinShard(
-              ShardPostings(buckets_r, shards, shard),
-              ShardPostings(buckets_s, shards, shard), stop);
-        },
-        stop, &stats, ctx_->telem);
+  detail::PairBitmap bitmap;
+  bitmap_ = options.verify && options.bitmap_bits != 0;
+  if (bitmap_) {
+    bitmap = detail::PairBitmap(*ctx_->left, ctx_->right, *ctx_->predicate,
+                                options.bitmap_bits, *ctx_->pool);
   }
-  if (guard != nullptr && guard->tripped()) {
-    // Stopped mid-CandGen: its counters are partial garbage, drop them.
-    stats.signature_collisions = 0;
-    stats.candidates = 0;
-    return guard->trip_status();
+  {
+    std::vector<Posting> postings_l = Postings(*table_l);
+    std::vector<Posting> postings_r;
+    if (binary) postings_r = Postings(*table_r);
+    // The postings hold everything the index needs (the charge stays).
+    *table_l = SignatureChunk();
+    if (binary) *table_r = SignatureChunk();
+    index_ = detail::BuildProbeIndex(&postings_l, ctx_->left->size(),
+                                     binary ? &postings_r : nullptr,
+                                     binary ? ctx_->right->size() : 0,
+                                     *ctx_->pool);
   }
   if (guard != nullptr) {
-    guard->ChargeMemory(candidates_.size() * sizeof(uint64_t));
+    guard->ChargeMemory(bitmap.size_bytes() + index_.size_bytes());
+  }
+  candidates_ = detail::ProbeAll(index_, options.verify, bitmap, *ctx_->pool,
+                                 detail::StopFn(guard, JoinPhase::kCandGen),
+                                 ctx_->telem);
+  if (guard != nullptr && guard->tripped()) return guard->trip_status();
+  stats.signature_collisions = candidates_.collisions;
+  stats.candidates = candidates_.total();
+  if (guard != nullptr) {
+    guard->ChargeMemory(candidates_.kept.size() * sizeof(uint64_t));
   }
   rows_out_ = stats.candidates;
   return Status::OK();
@@ -140,7 +101,24 @@ Status CandidateGenOperator::NextBatch(Batch* out) {
     SSJOIN_RETURN_NOT_OK(st);
     if (ctx_->degrade || !ctx_->options->verify) return Status::OK();
   }
-  EmitCandidateSlice(candidates_, &pos_, out);
+  if (pos_ >= candidates_.total()) return Status::OK();
+  // The chunk covers candidates [pos_, end) as counted before the bitmap
+  // and carries the pairs kept among them.
+  const uint64_t end =
+      std::min<uint64_t>(candidates_.total(), pos_ + kCandidateChunkCapacity);
+  const size_t kept_end = detail::KeptBefore(index_, candidates_, end);
+  CandidateChunk& chunk = out->candidates;
+  out->kind = Batch::Kind::kCandidates;
+  chunk.start_offset = static_cast<size_t>(pos_);
+  chunk.pre_filter_count = static_cast<size_t>(end - pos_);
+  chunk.packed.assign(candidates_.kept.begin() + kept_pos_,
+                      candidates_.kept.begin() + kept_end);
+  if (bitmap_) {
+    chunk.bitmap_checked = chunk.pre_filter_count;
+    chunk.bitmap_pruned = chunk.pre_filter_count - chunk.packed.size();
+  }
+  pos_ = end;
+  kept_pos_ = kept_end;
   return Status::OK();
 }
 

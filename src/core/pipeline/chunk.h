@@ -8,14 +8,15 @@
 //     drivers always built (values + offsets, deduplicated within each
 //     set), so handing it between operators is a pointer move, never a
 //     re-encode.
-//   * CandidateChunk — one verify super-chunk of packed candidate
-//     pairs. kCandidateChunkCapacity equals the guarded verify
-//     super-chunk (16384 candidates): chunk boundaries ARE the
-//     deterministic guard barriers, so the chunked verify protocol
-//     (checkpoint + breaker per boundary) falls out of the batch size
-//     instead of being re-derived inside the verifier. The pipelined
-//     source is the one exception — its deterministic unit is the
-//     barrier group, so its chunks carry one group regardless of size.
+//   * CandidateChunk — one verify super-chunk: the packed candidate
+//     pairs that survived the source's bitmap test, out of the
+//     kCandidateChunkCapacity (16384) candidates counted before it.
+//     Chunk boundaries ARE the deterministic guard barriers, so the
+//     chunked verify protocol (checkpoint + breaker per boundary) falls
+//     out of the batch size instead of being re-derived inside the
+//     verifier. The pipelined source is the one exception — its
+//     deterministic unit is 1024 probe sets, so its chunks carry one
+//     unit's candidates regardless of their count.
 //
 // Determinism contract: every count stored here (start_offset,
 // pre_filter_count, the bitmap tallies) is derived from input order,
@@ -62,16 +63,17 @@ struct CandidateChunk {
   /// Global index of this chunk's first candidate, counted before any
   /// bitmap filtering — the breaker argument of the chunk's barrier.
   size_t start_offset = 0;
-  /// Candidates the producer put in this chunk (packed.size() before
-  /// BitmapFilterOperator compacted it).
+  /// Candidates this chunk covers, counted before the bitmap test
+  /// (packed.size() plus bitmap_pruned).
   size_t pre_filter_count = 0;
-  /// Bitmap pre-filter tallies for this chunk. The filter only fills
+  /// Bitmap pre-filter tallies for this chunk. The source only fills
   /// these; VerifyOperator commits them into JoinStats *after* the
   /// chunk's checkpoint passes, so a trip at the barrier leaves the
   /// stats exactly as the legacy chunk loop did.
   uint64_t bitmap_checked = 0;
   uint64_t bitmap_pruned = 0;
-  /// PackPair()ed candidate pairs, in deterministic candidate order.
+  /// PackPair()ed surviving candidate pairs, in deterministic candidate
+  /// order.
   std::vector<uint64_t> packed;
   /// Pairs that survived verification, appended in candidate order.
   std::vector<SetPair> verified;
@@ -108,9 +110,8 @@ struct Batch {
 
 /// Slices the next kCandidateChunkCapacity candidates of a sorted packed
 /// vector into `out` and advances *pos. Returns false (leaving `out` an
-/// end batch) once the vector is exhausted. Shared by every operator
-/// that streams a materialized candidate vector (sorted candidate
-/// generation, the spill partitioner).
+/// end batch) once the vector is exhausted. Used by the spill
+/// partitioner, the one source that materializes every candidate.
 inline bool EmitCandidateSlice(const std::vector<uint64_t>& candidates,
                                size_t* pos, Batch* out) {
   if (*pos >= candidates.size()) return false;

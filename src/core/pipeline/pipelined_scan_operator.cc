@@ -16,8 +16,17 @@ constexpr size_t kUnitSets = 1024;
 
 Status PipelinedScanOperator::Open() {
   ExecutionGuard* guard = ctx_->guard;
-  auto_spill_ = ctx_->options->spill.policy == SpillPolicy::kAuto &&
+  const JoinOptions& options = *ctx_->options;
+  auto_spill_ = options.spill.policy == SpillPolicy::kAuto &&
                 guard != nullptr && guard->budget().memory_budget_bytes > 0;
+  if (options.verify && options.bitmap_bits != 0) {
+    bitmap_ = detail::PairBitmap(*ctx_->left, nullptr, *ctx_->predicate,
+                                 options.bitmap_bits, *ctx_->pool);
+    if (guard != nullptr) {
+      guard->ChargeMemory(bitmap_.size_bytes());
+      ctx_->degrade_release_bytes += bitmap_.size_bytes();
+    }
+  }
   return Status::OK();
 }
 
@@ -68,7 +77,6 @@ Status PipelinedScanOperator::NextBatch(Batch* out) {
   }
   ScanUnit(out);
   out->kind = Batch::Kind::kCandidates;
-  out->candidates.pre_filter_count = out->candidates.packed.size();
   rows_out_ = ctx_->result->stats.candidates;
   return Status::OK();
 }
@@ -87,7 +95,10 @@ void PipelinedScanOperator::ScanUnit(Batch* out) {
     stats.candidates += partners_.size();
     if (ctx_->options->verify) {
       for (SetId partner : partners_) {
-        chunk.packed.push_back(PackPair(partner, id));
+        if (!bitmap_.Prunes(partner, id, &chunk.bitmap_checked,
+                            &chunk.bitmap_pruned)) {
+          chunk.packed.push_back(PackPair(partner, id));
+        }
       }
     }
     // Index append: verification never reads the index and probes only
@@ -95,6 +106,8 @@ void PipelinedScanOperator::ScanUnit(Batch* out) {
     // of this unit) changes nothing a probe can observe.
     index_.Add(sigs_, id);
   }
+  chunk.pre_filter_count = static_cast<size_t>(stats.candidates) -
+                           chunk.start_offset;
   rows_in_ += end - next_;
   next_ = end;
 }

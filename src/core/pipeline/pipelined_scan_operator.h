@@ -17,15 +17,22 @@
 // further, adds the index footprint to ctx->degrade_release_bytes, and
 // ends the stream; the runner reruns out of core.
 //
-// Signature generation and probing interleave per set, so the whole
-// operator — index build included — counts under CandPair: its
-// self-time is the join's candpair_seconds and siggen_seconds stays 0.
+// When verifying, each unit's candidates pass the bitmap test before
+// the unit is emitted; the tables are built for the whole input in
+// Open() (ids are known even though the index grows incrementally) and
+// their charge joins ctx->degrade_release_bytes.
+//
+// Signature generation, probing and the bitmap test interleave per set,
+// so the whole operator — index and bitmap build included — counts
+// under CandPair: its self-time is the join's candpair_seconds and
+// siggen_seconds stays 0.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/driver_internal.h"
 #include "core/pipeline/operator.h"
 #include "core/signature_index.h"
 
@@ -50,6 +57,7 @@ class PipelinedScanOperator : public Operator {
   SetId next_ = 0;
   uint64_t charged_sigs_ = 0;
   SignatureIndex index_;
+  detail::PairBitmap bitmap_;
   // Per-set scratch, reused across sets.
   std::vector<Signature> sigs_;
   std::vector<SetId> partners_;

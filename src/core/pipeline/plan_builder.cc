@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "core/pipeline/bitmap_filter_operator.h"
 #include "core/pipeline/candidate_gen_operator.h"
 #include "core/pipeline/dedup_emit_operator.h"
 #include "core/pipeline/pipelined_scan_operator.h"
@@ -14,8 +13,8 @@ namespace ssjoin::pipeline {
 
 void BuildPlan(Plan* plan, ExecContext* ctx, bool spill) {
   // The one fact the verify tail depends on: a PipelinedScan source
-  // streams candidates per unit in discovery order, so the tail builds
-  // its bitmap eagerly, verifies unchunked and sorts at end of stream.
+  // streams candidates per unit in discovery order, so the tail verifies
+  // unchunked and sorts at end of stream.
   const bool pipelined =
       !spill && ctx->mode == ExecutionMode::kPipelinedSelfJoin;
   if (spill) {
@@ -26,12 +25,7 @@ void BuildPlan(Plan* plan, ExecContext* ctx, bool spill) {
     plan->Add(std::make_unique<SigGenOperator>(ctx));
     plan->Add(std::make_unique<CandidateGenOperator>(ctx));
   }
-  const JoinOptions& options = *ctx->options;
-  if (options.verify) {
-    if (options.bitmap_bits != 0) {
-      plan->Add(std::make_unique<BitmapFilterOperator>(ctx,
-                                                       /*eager=*/pipelined));
-    }
+  if (ctx->options->verify) {
     plan->Add(std::make_unique<VerifyOperator>(ctx, /*chunked=*/!pipelined));
   }
   plan->Add(std::make_unique<DedupEmitOperator>(ctx,

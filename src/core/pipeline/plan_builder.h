@@ -4,15 +4,15 @@
 // telemetry discipline, explain plan recording — lives in the
 // operators, once.
 //
-//   Sorted     SigGen -> CandidateGen [-> BitmapFilter -> Verify]
-//              -> DedupEmit
-//   Pipelined  PipelinedScan [-> BitmapFilter -> Verify] -> DedupEmit
-//   Spilled    SpillPartition [-> BitmapFilter -> Verify] -> DedupEmit
+//   Sorted     SigGen -> CandidateGen [-> Verify] -> DedupEmit
+//   Pipelined  PipelinedScan [-> Verify] -> DedupEmit
+//   Spilled    SpillPartition [-> Verify] -> DedupEmit
 //
-// The bracketed tail exists only when options.verify; BitmapFilter only
-// when options.bitmap_bits != 0. The sorted and spilled chains emit
-// globally sorted candidates, so their DedupEmit appends; the pipelined
-// chain emits in discovery order and sorts at end of stream.
+// Verify exists only when options.verify. Every source runs the bitmap
+// test itself (options.bitmap_bits != 0) and hands Verify only the
+// survivors. The sorted and spilled chains emit globally sorted
+// candidates, so their DedupEmit appends; the pipelined chain emits in
+// discovery order and sorts at end of stream.
 
 #pragma once
 

@@ -70,6 +70,11 @@ Status SpillPartitionOperator::Produce() {
   if (guard != nullptr) {
     guard->ChargeMemory(candidates_.size() * sizeof(uint64_t));
   }
+  if (options.verify && options.bitmap_bits != 0) {
+    bitmap_ = detail::PairBitmap(*ctx_->left, ctx_->right, *ctx_->predicate,
+                                 options.bitmap_bits, *ctx_->pool);
+    if (guard != nullptr) guard->ChargeMemory(bitmap_.size_bytes());
+  }
   rows_out_ = stats.candidates;
   return Status::OK();
 }
@@ -80,7 +85,17 @@ Status SpillPartitionOperator::NextBatch(Batch* out) {
     SSJOIN_RETURN_NOT_OK(Produce());
     if (!ctx_->options->verify) return Status::OK();
   }
-  EmitCandidateSlice(candidates_, &pos_, out);
+  if (!EmitCandidateSlice(candidates_, &pos_, out)) return Status::OK();
+  CandidateChunk& chunk = out->candidates;
+  size_t kept = 0;
+  for (uint64_t packed : chunk.packed) {
+    auto [id_r, id_s] = UnpackPair(packed);
+    if (!bitmap_.Prunes(id_r, id_s, &chunk.bitmap_checked,
+                        &chunk.bitmap_pruned)) {
+      chunk.packed[kept++] = packed;
+    }
+  }
+  chunk.packed.resize(kept);
   return Status::OK();
 }
 

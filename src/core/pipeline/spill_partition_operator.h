@@ -4,12 +4,14 @@
 // per-partition candidate generation (spill::internal::RunAttempt),
 // halving the partition count after a transient I/O failure — and then
 // streams the merged, globally sorted candidate vector out in verify
-// super-chunks. Guard trips are final; exhausted retries surrender with
+// super-chunks, running the bitmap test on each chunk as it is cut (the
+// tables are built once the candidates are merged). Guard trips are
+// final; exhausted retries surrender with
 // the completed-signature counts but no candidate accounting, exactly
 // like the legacy spilled driver. Partitioning interleaves signature
 // generation with candidate generation, so the operator's self-time —
-// every attempt, failed ones included — counts under CandPair and
-// siggen_seconds stays 0.
+// every attempt, failed ones included, and the bitmap test — counts
+// under CandPair and siggen_seconds stays 0.
 
 #pragma once
 
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/driver_internal.h"
 #include "core/pipeline/operator.h"
 
 namespace ssjoin::pipeline {
@@ -36,6 +39,7 @@ class SpillPartitionOperator : public Operator {
   bool produced_ = false;
   std::vector<uint64_t> candidates_;
   size_t pos_ = 0;
+  detail::PairBitmap bitmap_;
 };
 
 }  // namespace ssjoin::pipeline

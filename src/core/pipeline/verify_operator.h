@@ -4,8 +4,9 @@
 //   * Chunked (sorted and spilled modes): every chunk boundary is the
 //     legacy verify super-chunk barrier. Per chunk, with a guard:
 //     Checkpoint(kVerify), CheckBreaker(chunk start, results so far),
-//     THEN commit the chunk's bitmap tallies (a trip at the barrier
-//     must leave stats exactly as the legacy loop did), then the
+//     THEN commit the chunk's bitmap tallies, which the source filled
+//     when it ran the bitmap test (a trip at the barrier must leave
+//     stats exactly as the legacy loop did), then the
 //     parallel evaluate inside a "verify_chunk" runtime sample, then
 //     ChargeMemory for the appended pairs. The end batch runs the
 //     final breaker over the complete pre-filter totals (with a
@@ -16,6 +17,7 @@
 //
 // Either way the operator's self-time counts under PostFilter.
 //
+// A chunk holds only the pairs that passed the source's bitmap test.
 // Pairs are evaluated and appended in candidate order, so the chunk's
 // verified vector — and therefore the final pair vector — is
 // byte-identical at any thread count.

@@ -21,10 +21,10 @@
 namespace ssjoin::spill {
 namespace {
 
-// Partition routing. XORing a fixed seed decorrelates the partition hash
-// from detail::ShardOf's Mix64(sig), so the in-partition shard split
-// stays balanced; routing by the signature alone is what keeps every
-// signature group inside one partition (the exactness invariant).
+// Partition routing. Routing by the signature alone is what keeps every
+// signature group inside one partition (the exactness invariant); the
+// fixed seed only pins which partition a signature lands in, and with it
+// the byte layout of the partition files.
 constexpr uint64_t kPartitionSeed = 0xc3a5c85c97cb3127ull;
 
 // Sets streamed per write-stage chunk. Chunks are the deterministic unit
@@ -184,7 +184,7 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
 
-  const size_t shards = pool.size();
+  const bool binary = right != nullptr;
   std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
   std::vector<uint64_t> merged;
   for (uint32_t p = 0; p < partitions; ++p) {
@@ -193,7 +193,7 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
     SSJOIN_ASSIGN_OR_RETURN(
         postings_l, SpillFileReader::ReadAll(writers_l[p].path(),
                                              &stats->spill_bytes_read));
-    if (right != nullptr) {
+    if (binary) {
       SSJOIN_ASSIGN_OR_RETURN(
           postings_r, SpillFileReader::ReadAll(writers_r[p].path(),
                                                &stats->spill_bytes_read));
@@ -206,44 +206,25 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
       // partition's postings are the peak the budget is checked against.
       SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
     }
-    // Stable sequential scatter of the (deterministic) file order into
-    // shard slices; each shard sorts its slice on the pool, exactly like
-    // the in-memory ShardPostings pass.
-    std::vector<std::vector<Posting>> shards_l(shards);
-    std::vector<std::vector<Posting>> shards_r(shards);
-    for (const Posting& posting : postings_l) {
-      shards_l[detail::ShardOf(posting.first, shards)].push_back(posting);
-    }
-    for (const Posting& posting : postings_r) {
-      shards_r[detail::ShardOf(posting.first, shards)].push_back(posting);
-    }
-    postings_l.clear();
-    postings_l.shrink_to_fit();
-    postings_r.clear();
-    postings_r.shrink_to_fit();
-    std::vector<uint64_t> part_candidates = detail::GenerateCandidates(
-        pool,
-        [&](size_t shard) {
-          std::sort(shards_l[shard].begin(), shards_l[shard].end());
-          if (right == nullptr) {
-            return detail::SelfJoinShard(shards_l[shard], stop);
-          }
-          std::sort(shards_r[shard].begin(), shards_r[shard].end());
-          return detail::BinaryJoinShard(shards_l[shard], shards_r[shard],
-                                         stop);
-        },
-        stop, stats, &telem);
+    // The in-memory generator over this partition's postings, keeping
+    // every candidate: a pair can share signatures in two partitions, so
+    // the bitmap test waits until the partitions are merged.
+    detail::ProbedCandidates part = detail::ProbeAll(
+        detail::BuildProbeIndex(&postings_l, left.size(),
+                                binary ? &postings_r : nullptr,
+                                binary ? right->size() : 0, pool),
+        /*keep=*/true, detail::PairBitmap(), pool, stop, &telem);
     if (guard != nullptr && guard->tripped()) return guard->trip_status();
+    stats->signature_collisions += part.collisions;
     if (merged.empty()) {
-      merged = std::move(part_candidates);
-    } else if (!part_candidates.empty()) {
+      merged = std::move(part.kept);
+    } else if (!part.kept.empty()) {
       // Sorted union with the candidates so far: a pair reachable via
-      // signatures in two partitions dedups here, exactly as the
-      // in-memory shard union dedups it.
+      // signatures in two partitions dedups here.
       std::vector<uint64_t> unioned;
-      unioned.reserve(merged.size() + part_candidates.size());
-      std::set_union(merged.begin(), merged.end(), part_candidates.begin(),
-                     part_candidates.end(), std::back_inserter(unioned));
+      unioned.reserve(merged.size() + part.kept.size());
+      std::set_union(merged.begin(), merged.end(), part.kept.begin(),
+                     part.kept.end(), std::back_inserter(unioned));
       merged = std::move(unioned);
     }
     ledger.ReleaseMemory(partition_bytes);

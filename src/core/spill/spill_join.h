@@ -5,8 +5,8 @@
 // of failing: its SpillPartition source (core/pipeline) streams the
 // signature postings into K hash-partitioned, checksummed spill files
 // (core/spill/spill_file.h), and candidate generation runs one partition
-// at a time, each through the *same* shard/union/verify building blocks
-// as the in-memory path (core/driver_internal.h). The attempt itself is
+// at a time, each through the *same* index/probe building blocks as the
+// in-memory path (core/driver_internal.h). The attempt itself is
 // core/spill/spill_internal.h; this header holds the policy knobs.
 //
 // The partitioning invariant that makes this exact: postings are routed
@@ -14,10 +14,11 @@
 // wholly inside one partition. Per-partition collision counts therefore
 // sum to exactly the serial total, and the only cross-partition overlap
 // — a candidate pair reachable via two signatures in two partitions —
-// is removed by the sorted set_union merge, the same dedup the in-memory
-// shards already rely on. A spilled join returns byte-identical pairs
-// and exactly-equal legacy stats at any thread count and any partition
-// count; only the spill_* stats and wall-clock differ.
+// is removed by the sorted set_union merge, which stands in for the
+// in-memory probe's per-set dedup. A spilled join returns
+// byte-identical pairs and exactly-equal legacy stats at any thread
+// count and any partition count; only the spill_* stats and wall-clock
+// differ.
 //
 // Failure-first: every file operation returns a structured Status, spill
 // files live in a util::ScopedTempDir that is removed on every exit path

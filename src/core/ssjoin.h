@@ -11,9 +11,10 @@
 // intermediate-result size
 //   sum_r |Sign(r)| + sum_s |Sign(s)| + sum_(r,s) |Sign(r) ∩ Sign(s)|.
 //
-// All three phases are shard-parallel (paper Section 4's cost model
-// treats them as independent); JoinOptions::num_threads selects the
-// parallelism and the output is byte-identical for every thread count.
+// All three phases run in parallel over fixed slices of the input
+// (paper Section 4's cost model treats them as independent);
+// JoinOptions::num_threads selects the parallelism and the output is
+// byte-identical for every thread count.
 //
 // Entry point: build a JoinRequest and call Join(). The request names
 // the inputs, the scheme/predicate pair, the ExecutionMode (sorted
@@ -106,8 +107,8 @@ struct JoinOptions {
   /// reference path on the calling thread, 0 means one thread per
   /// hardware core, any other value is used literally. Every thread
   /// count produces byte-identical pairs and stats — parallel execution
-  /// uses deterministic static sharding (DESIGN.md Section 6), never
-  /// work stealing.
+  /// splits work into fixed slices dealt out statically (DESIGN.md
+  /// Section 6), never work stealing.
   size_t num_threads = 1;
   /// Optional execution guardrails (cancellation, deadline, memory
   /// budget, candidate-explosion breaker — DESIGN.md Section 7). Not
@@ -119,8 +120,9 @@ struct JoinOptions {
   ExecutionGuard* guard = nullptr;
   /// Optional span sink (DESIGN.md Section 8). When set, the join
   /// records a join → operator span skeleton (one span per pipeline
-  /// operator, carrying its rows_in/rows_out) plus runtime
-  /// shard/chunk/block detail into it. Not owned; must outlive the call.
+  /// operator, carrying its rows_in/rows_out) plus runtime per-worker
+  /// probe ("shard") and verify-chunk detail into it. Not owned; must
+  /// outlive the call.
   /// nullptr = no tracing (the null-sink default, within measurement
   /// noise of the pre-observability driver).
   obs::Tracer* tracer = nullptr;
@@ -169,7 +171,9 @@ struct JoinStats {
   // Join() sums its operators' self-times by phase (DESIGN.md Section
   // 14). Pipelined and spilled runs generate signatures inside their
   // CandPair source, so they report siggen_seconds = 0 with that work
-  // inside candpair_seconds; verify == false leaves postfilter 0.
+  // inside candpair_seconds. The bitmap test runs inside the candidate
+  // source, so it counts under candpair_seconds too; verify == false
+  // leaves postfilter 0.
   double siggen_seconds = 0;
   double candpair_seconds = 0;
   double postfilter_seconds = 0;
@@ -238,9 +242,9 @@ struct JoinResult {
 /// How Join() executes the Figure-2 outline.
 enum class ExecutionMode {
   /// Sorted self-join over one collection: materialize all signatures,
-  /// shard by signature hash, verify the global candidate set. Output
-  /// pairs have first < second. This is what all the paper's experiments
-  /// run.
+  /// index them by signature, probe every set for its distinct partners
+  /// and verify them in (r, s) order. Output pairs have first < second.
+  /// This is what all the paper's experiments run.
   kSelfJoin = 0,
   /// Sorted binary join between collections R and S; the same scheme
   /// instance generates signatures for both sides.

@@ -11,6 +11,7 @@
 #include "obs/join_telemetry.h"
 #include "text/edit_distance.h"
 #include "text/qgram.h"
+#include "util/thread_pool.h"
 
 namespace ssjoin {
 
@@ -97,7 +98,6 @@ Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
         *count += sigs.size();
         for (Signature sig : sigs) out->emplace_back(sig, id);
       }
-      std::sort(out->begin(), out->end());
     };
     post(r_bags, &postings_r, &stats.signatures_r);
     if (self) {
@@ -107,20 +107,25 @@ Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
     }
   }
 
-  // One shard, so the candidates come back sorted and duplicate-free.
-  detail::ShardCandidates candidates;
+  // The one candidate generator, on one thread and with no bitmap test:
+  // every candidate is kept, sorted.
+  detail::ProbedCandidates candidates;
   {
     auto scope = telem.Phase(obs::kPhaseCandPair, &stats.candpair_seconds);
-    candidates = self ? detail::SelfJoinShard(postings_r, {})
-                      : detail::BinaryJoinShard(postings_r, postings_s, {});
+    ThreadPool pool(1);
+    candidates = detail::ProbeAll(
+        detail::BuildProbeIndex(&postings_r, r_strings.size(),
+                                self ? nullptr : &postings_s, s_side.size(),
+                                pool),
+        /*keep=*/true, detail::PairBitmap(), pool, {}, &telem);
     stats.signature_collisions = candidates.collisions;
-    stats.candidates = candidates.packed.size();
+    stats.candidates = candidates.total();
   }
 
   {
     auto scope =
         telem.Phase(obs::kPhasePostFilter, &stats.postfilter_seconds);
-    for (uint64_t packed : candidates.packed) {
+    for (uint64_t packed : candidates.kept) {
       auto [a, b] = UnpackPair(packed);
       if (WithinEditDistance(r_strings[a], s_side[b],
                              options.edit_threshold)) {

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/nested_loop.h"
 #include "baselines/prefix_filter.h"
@@ -53,6 +56,46 @@ TEST(FuzzTest, JaccardPartEnumRandomGammasAndSeeds) {
     JoinResult result = Join(SelfJoinRequest(input, *scheme, predicate));
     EXPECT_EQ(result.pairs, NestedLoopSelfJoin(input, predicate))
         << "round " << round << " gamma=" << gamma;
+  }
+}
+
+// The same differential over binary joins and forced spill, at every
+// bitmap width: each candidate path (in-memory probe, per-partition probe
+// plus merge) and the bitmap test placed inside it must keep every pair.
+TEST(FuzzTest, JaccardPartEnumBinaryAndSpillEveryBitmapWidth) {
+  Rng rng(0xF126);
+  for (int round = 0; round < 6; ++round) {
+    double gamma = 0.5 + 0.5 * rng.NextDouble();  // (0.5, 1.0)
+    SetCollection r = RandomWorkload(rng, 70, 30, 150, 20);
+    SetCollection s = RandomWorkload(rng, 60, 20, 150, 20);
+    PartEnumJaccardParams params;
+    params.gamma = gamma;
+    params.max_set_size = std::max(r.max_set_size(), s.max_set_size());
+    params.seed = rng.Next64();
+    auto scheme = PartEnumJaccardScheme::Create(params);
+    ASSERT_TRUE(scheme.ok());
+    JaccardPredicate predicate(gamma);
+    const std::vector<SetPair> self_truth = NestedLoopSelfJoin(r, predicate);
+    const std::vector<SetPair> binary_truth = NestedLoopJoin(r, s, predicate);
+    for (uint32_t bits : {0u, 64u, 128u, 256u}) {
+      for (SpillPolicy spill : {SpillPolicy::kDisabled, SpillPolicy::kForced}) {
+        JoinOptions options;
+        options.bitmap_bits = bits;
+        options.spill.policy = spill;
+        std::string cell = "round " + std::to_string(round) +
+                           " gamma=" + std::to_string(gamma) +
+                           " bits=" + std::to_string(bits) + " spill=" +
+                           std::to_string(spill == SpillPolicy::kForced);
+        JoinResult self =
+            Join(SelfJoinRequest(r, *scheme, predicate, options));
+        ASSERT_TRUE(self.status.ok()) << cell;
+        EXPECT_EQ(self.pairs, self_truth) << cell;
+        JoinResult binary =
+            Join(BinaryJoinRequest(r, s, *scheme, predicate, options));
+        ASSERT_TRUE(binary.status.ok()) << cell;
+        EXPECT_EQ(binary.pairs, binary_truth) << cell;
+      }
+    }
   }
 }
 

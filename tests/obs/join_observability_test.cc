@@ -97,8 +97,8 @@ TEST(ObsDeterminismTest, SelfJoinExportIsThreadCountInvariant) {
   EXPECT_EQ(serial, parallel);
   // The stable skeleton: join root plus one span per operator.
   EXPECT_NE(serial.find("\"name\":\"join\""), std::string::npos);
-  ExpectOperatorSpans(serial, {"siggen", "candgen", "bitmap_filter",
-                               "verify", "dedup_emit"});
+  ExpectOperatorSpans(serial, {"siggen", "candgen", "verify",
+                               "dedup_emit"});
   // No wall-clock leakage into the deterministic stream.
   EXPECT_EQ(serial.find("seconds"), std::string::npos);
   EXPECT_EQ(serial.find("_us"), std::string::npos);
@@ -145,8 +145,7 @@ TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
   std::string serial = DeterministicExport(request, 1);
   EXPECT_EQ(serial, DeterministicExport(request, 4));
   EXPECT_NE(serial.find("\"mode\":\"pipelined_self\""), std::string::npos);
-  ExpectOperatorSpans(serial, {"pipelined_scan", "bitmap_filter", "verify",
-                               "dedup_emit"});
+  ExpectOperatorSpans(serial, {"pipelined_scan", "verify", "dedup_emit"});
 
   // The forced-spill export must be thread-count invariant too.
   request.options.spill.policy = SpillPolicy::kForced;
@@ -167,13 +166,12 @@ TEST(ObsDeterminismTest, TracerOnlyJoinEmitsOperatorSkeleton) {
   request.options.spill.policy = SpillPolicy::kDisabled;
   std::string serial = DeterministicExport(request, 1, /*metrics=*/false);
   EXPECT_EQ(serial, DeterministicExport(request, 4, /*metrics=*/false));
-  ExpectOperatorSpans(serial, {"siggen", "candgen", "bitmap_filter",
-                               "verify", "dedup_emit"});
+  ExpectOperatorSpans(serial, {"siggen", "candgen", "verify",
+                               "dedup_emit"});
   request.mode = ExecutionMode::kPipelinedSelfJoin;
   serial = DeterministicExport(request, 1, /*metrics=*/false);
   EXPECT_EQ(serial, DeterministicExport(request, 4, /*metrics=*/false));
-  ExpectOperatorSpans(serial, {"pipelined_scan", "bitmap_filter", "verify",
-                               "dedup_emit"});
+  ExpectOperatorSpans(serial, {"pipelined_scan", "verify", "dedup_emit"});
 }
 
 // The auto-spill degrade: the in-memory chain abandons its tables under
