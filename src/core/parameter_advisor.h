@@ -12,11 +12,27 @@
 //
 // The advisor does exactly that: for each candidate setting it generates
 // signatures for a sample of n sets, computes the sample's signature count
-// S and collision count C (exactly, or via the AMS sketch), and
-// extrapolates to the full input of N sets as
-//     F2_est = 2 S (N/n) + 2 C (N/n)^2
+// S (deduplicated within each set) and collision count C (exactly by
+// default, or via the AMS sketch), and extrapolates to the full input of
+// N sets as
+//     F2_est = 2 S (N/n) + C (N/n)^2
 // (signature terms scale linearly, pairwise collisions quadratically).
-// The argmin over settings is the chosen configuration.
+// The argmin over settings is the chosen configuration; ties on F2_est
+// go to the cheaper setting (fewer signatures per set, smaller l or TH),
+// then to the earlier one in enumeration order.
+//
+// The Choose* searches find that argmin by branch and bound. They visit
+// the settings in ascending cost (enumeration order among equal costs)
+// and count each one's S set by set, stopping as soon as the signature
+// term 2 S (N/n) alone exceeds the best F2_est scored so far. Such a
+// setting is pruned: no collision count, no EXPLAIN row, only a count in
+// AdvisorTrace::pruned_settings. The result is exact, not a heuristic:
+// S is the count actually generated, not Theorem 2's n1 * C(n2, k2)
+// (an upper bound once in-set duplicates are dropped), and C >= 0 on
+// both the exact and the AMS route, so 2 S (N/n) is a true lower bound
+// on F2_est. A pruned setting ranks strictly below the best, and Choose*
+// returns the front of the exhaustive Evaluate* list — the same setting
+// with the bit-identical estimate.
 
 #pragma once
 
@@ -49,9 +65,9 @@ struct AdvisorOptions {
   /// route and is exercised by tests/benches.
   bool use_ams_sketch = false;
   uint64_t seed = 0x9E3779B9;
-  /// Optional EXPLAIN search-trace sink (obs/explain.h): every Evaluate*
-  /// call appends one AdvisorCandidate per setting it scored, and the
-  /// Choose* wrappers mark the winning row. Not owned; nullptr = no
+  /// Optional EXPLAIN search-trace sink (obs/explain.h): every search
+  /// appends one AdvisorCandidate per setting it scored and counts the
+  /// ones it pruned, and the Choose* wrappers mark the winning row. Not owned; nullptr = no
   /// trace (the null-sink contract: one pointer compare, zero cost).
   obs::AdvisorTrace* trace = nullptr;
 };
@@ -65,13 +81,15 @@ struct PartEnumChoice {
 
 /// Evaluates all valid (n1, n2) for a hamming PartEnum with threshold `k`
 /// against (a sample of) `input`, extrapolating to `target_input_size`
-/// sets. Returns candidates sorted by estimated F2 (best first).
+/// sets. Scores every setting (no pruning) and returns them sorted by
+/// (estimated F2, signatures per set, enumeration order), best first.
 /// target_input_size = 0 means input.size().
 std::vector<PartEnumChoice> EvaluatePartEnumParams(
     const SetCollection& input, uint32_t k, size_t target_input_size,
     const AdvisorOptions& options = {});
 
-/// The best setting from EvaluatePartEnumParams.
+/// The best setting from EvaluatePartEnumParams, found by the
+/// branch-and-bound search described above.
 Result<PartEnumChoice> ChoosePartEnumParams(
     const SetCollection& input, uint32_t k, size_t target_input_size = 0,
     const AdvisorOptions& options = {});

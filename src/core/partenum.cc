@@ -80,7 +80,6 @@ std::vector<PartEnumParams> PartEnumParams::EnumerateValid(
     base.k = k;
     base.n1 = n1;
     base.seed = seed;
-    uint32_t prev_k2 = std::numeric_limits<uint32_t>::max();
     for (uint32_t n2 = min_n2;; ++n2) {
       PartEnumParams params = base;
       params.n2 = n2;
@@ -90,12 +89,6 @@ std::vector<PartEnumParams> PartEnumParams::EnumerateValid(
         // are done with this n1.
         break;
       }
-      // Skip degenerate repeats where increasing n2 changed nothing
-      // structurally (k2 == 0 means one all-partitions subset; larger n2
-      // only fragments the set further, which *does* change filtering, so
-      // keep those).
-      (void)prev_k2;
-      prev_k2 = params.k2();
       if (params.Validate().ok()) out.push_back(params);
       if (n2 >= 31) break;  // PartEnumScheme's subset masks are 32-bit
     }

@@ -9,38 +9,53 @@
 
 namespace ssjoin::pipeline {
 
-// Parallel evaluate over the chunk's surviving candidates. The chunk is
-// a contiguous slice of a deterministically ordered candidate sequence,
-// so concatenating the per-range outputs in range order yields
-// chunk->verified in candidate order — the serial and every parallel
-// execution produce the identical vector.
+namespace {
+
+// Fewest surviving candidates worth a fork-join. The bitmap test leaves
+// most chunks nearly empty, and a fork-join costs more than verifying a
+// few hundred pairs, so smaller chunks are evaluated on the caller.
+constexpr size_t kParallelVerifyGrain = 1024;
+
+}  // namespace
+
+// Evaluates the chunk's surviving candidates, in parallel once there are
+// kParallelVerifyGrain of them. The chunk is a contiguous slice of a
+// deterministically ordered candidate sequence, so concatenating the
+// per-range outputs in range order yields chunk->verified in candidate
+// order — the serial and every parallel execution produce the identical
+// vector.
 void VerifyOperator::EvaluateChunk(CandidateChunk* chunk) {
   JoinStats& stats = ctx_->result->stats;
   const SetCollection& r = *ctx_->left;
   const SetCollection& s = ctx_->right != nullptr ? *ctx_->right : *ctx_->left;
   const Predicate& predicate = *ctx_->predicate;
   ThreadPool& pool = *ctx_->pool;
-  size_t ranges = pool.size();
+  size_t total = chunk->packed.size();
+  size_t ranges = total < kParallelVerifyGrain ? 1 : pool.size();
   std::vector<std::vector<SetPair>> pairs(ranges);
   std::vector<uint64_t> results(ranges, 0);
   std::vector<uint64_t> false_positives(ranges, 0);
-  ParallelFor(pool, chunk->packed.size(),
-              [&](size_t begin, size_t end, size_t c) {
-                std::vector<SetPair>& mine = pairs[c];
-                mine.reserve((end - begin) / 4 + 1);
-                uint64_t hits = 0, misses = 0;
-                for (size_t i = begin; i < end; ++i) {
-                  auto [id_r, id_s] = UnpackPair(chunk->packed[i]);
-                  if (predicate.Evaluate(r.set(id_r), s.set(id_s))) {
-                    mine.emplace_back(id_r, id_s);
-                    ++hits;
-                  } else {
-                    ++misses;
-                  }
-                }
-                results[c] = hits;
-                false_positives[c] = misses;
-              });
+  auto evaluate = [&](size_t begin, size_t end, size_t c) {
+    std::vector<SetPair>& mine = pairs[c];
+    mine.reserve((end - begin) / 4 + 1);
+    uint64_t hits = 0, misses = 0;
+    for (size_t i = begin; i < end; ++i) {
+      auto [id_r, id_s] = UnpackPair(chunk->packed[i]);
+      if (predicate.Evaluate(r.set(id_r), s.set(id_s))) {
+        mine.emplace_back(id_r, id_s);
+        ++hits;
+      } else {
+        ++misses;
+      }
+    }
+    results[c] = hits;
+    false_positives[c] = misses;
+  };
+  if (ranges == 1) {
+    evaluate(0, total, 0);
+  } else {
+    ParallelFor(pool, total, evaluate);
+  }
   size_t appended = 0;
   for (size_t c = 0; c < ranges; ++c) {
     chunk->verified.insert(chunk->verified.end(), pairs[c].begin(),

@@ -17,10 +17,12 @@
 //
 // Either way the operator's self-time counts under PostFilter.
 //
-// A chunk holds only the pairs that passed the source's bitmap test.
-// Pairs are evaluated and appended in candidate order, so the chunk's
-// verified vector — and therefore the final pair vector — is
-// byte-identical at any thread count.
+// A chunk holds only the pairs that passed the source's bitmap test,
+// often a handful out of 16,384 candidates; a chunk forks the pool only
+// when it holds at least 1,024 of them, and is evaluated on the calling
+// thread otherwise. Pairs are evaluated and appended in candidate order,
+// so the chunk's verified vector — and therefore the final pair vector —
+// is byte-identical at any thread count.
 
 #pragma once
 

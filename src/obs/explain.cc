@@ -126,6 +126,7 @@ void AttachAdvisorTrace(ExplainReport* report, const AdvisorTrace& trace) {
   dest.used_ams_sketch = trace.used_ams_sketch;
   dest.candidates.insert(dest.candidates.end(), trace.candidates.begin(),
                          trace.candidates.end());
+  dest.pruned_settings += trace.pruned_settings;
   const AdvisorCandidate* chosen = trace.Chosen();
   if (chosen != nullptr) {
     report->Predict(names::kJoinSignatures, chosen->predicted_signatures);
@@ -163,6 +164,8 @@ std::string ExplainJsonl(const ExplainReport& report) {
     AppendKeyUint(&out, "sample_size", advisor.sample_size);
     AppendKeyUint(&out, "target_input_size", advisor.target_input_size);
     AppendKeyBool(&out, "ams", advisor.used_ams_sketch);
+    AppendKeyUint(&out, "scored", advisor.candidates.size());
+    AppendKeyUint(&out, "pruned", advisor.pruned_settings);
     out += "}\n";
   }
   for (const AdvisorCandidate& candidate : advisor.candidates) {
@@ -237,6 +240,14 @@ std::string ExplainText(const ExplainReport& report,
                   static_cast<unsigned long long>(
                       advisor.target_input_size),
                   advisor.used_ams_sketch ? "ams" : "exact");
+    out += buf;
+    std::snprintf(buf, sizeof(buf),
+                  "    scored %llu of %llu settings (%llu pruned by "
+                  "signature bound)\n",
+                  static_cast<unsigned long long>(advisor.candidates.size()),
+                  static_cast<unsigned long long>(
+                      advisor.candidates.size() + advisor.pruned_settings),
+                  static_cast<unsigned long long>(advisor.pruned_settings));
     out += buf;
     std::snprintf(buf, sizeof(buf), "    %-2s %-18s %10s %14s %14s %14s\n",
                   "", "setting", "sigs/set", "pred_sigs", "pred_coll",

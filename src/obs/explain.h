@@ -80,7 +80,13 @@ struct AdvisorTrace {
   uint64_t target_input_size = 0;
   /// True when collision counts came from the AMS sketch.
   bool used_ams_sketch = false;
+  /// One row per scored setting.
   std::vector<AdvisorCandidate> candidates;
+  /// Settings a Choose* search skipped by its signature bound: their
+  /// signature term alone exceeded the best estimate so far, so they
+  /// were never fully scored and have no row. Scored + pruned is the
+  /// number of settings searched.
+  uint64_t pruned_settings = 0;
 
   /// The first candidate marked chosen (nullptr when none is).
   const AdvisorCandidate* Chosen() const;

@@ -16,34 +16,10 @@
 #include "core/ssjoin.h"
 #include "data/collection.h"
 #include "obs/explain.h"
-#include "util/random.h"
-#include "util/zipf.h"
+#include "zipf_collection.h"
 
 namespace ssjoin {
 namespace {
-
-// Synthetic skewed workload: fixed-size sets whose elements follow a
-// Zipf distribution, like real token vocabularies. The skew guarantees
-// signature collisions (the interesting part of the drift accounting).
-SetCollection ZipfCollection(size_t num_sets, uint32_t set_size,
-                             uint32_t domain, double theta, uint64_t seed) {
-  Rng rng(seed);
-  ZipfSampler sampler(domain, theta);
-  SetCollectionBuilder builder;
-  std::vector<ElementId> elements;
-  for (size_t i = 0; i < num_sets; ++i) {
-    elements.clear();
-    while (elements.size() < set_size) {
-      ElementId e = sampler.Sample(rng);
-      if (std::find(elements.begin(), elements.end(), e) ==
-          elements.end()) {
-        elements.push_back(e);
-      }
-    }
-    builder.Add(elements);
-  }
-  return builder.Build();
-}
 
 // Runs the chosen scheme over the full input with the report attached,
 // so FinishJoin fills the actual side of every drift entry.
@@ -81,9 +57,26 @@ TEST(AdvisorExplainTest, FullSamplePredictionsMatchActuals) {
                 ",n2=" + std::to_string(choice->params.n2));
   EXPECT_EQ(trace.sample_size, input.size());
 
+  // Every valid setting was either scored (one row) or pruned by the
+  // signature bound (counted), and the report says which.
+  size_t settings = PartEnumParams::EnumerateValid(
+                        k, options.max_signatures_per_set, options.seed)
+                        .size();
+  EXPECT_EQ(trace.candidates.size() + trace.pruned_settings, settings);
+  EXPECT_GT(trace.pruned_settings, 0u);
+
   obs::ExplainReport report;
   obs::AttachAdvisorTrace(&report, trace);
   RunChosen(input, *choice, k, &report);
+  EXPECT_NE(obs::ExplainText(report).find(
+                "scored " + std::to_string(trace.candidates.size()) +
+                " of " + std::to_string(settings) + " settings (" +
+                std::to_string(trace.pruned_settings) +
+                " pruned by signature bound)"),
+            std::string::npos);
+  EXPECT_NE(obs::ExplainJsonl(report).find(
+                "\"pruned\":" + std::to_string(trace.pruned_settings)),
+            std::string::npos);
 
   // With no sampling the advisor counted the real signatures, so the
   // drift ratios are 1 up to float rounding.

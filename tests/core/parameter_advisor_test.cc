@@ -5,6 +5,8 @@
 #include "core/ssjoin.h"
 #include "core/predicate.h"
 #include "data/generators.h"
+#include "obs/explain.h"
+#include "zipf_collection.h"
 
 namespace ssjoin {
 namespace {
@@ -142,6 +144,97 @@ TEST(AdvisorTest, NoValidSettingIsNotFound) {
   auto best = ChoosePartEnumParams(input, 4, 0, options);
   EXPECT_FALSE(best.ok());
   EXPECT_EQ(best.status().code(), StatusCode::kNotFound);
+}
+
+TEST(AdvisorTest, EqualEstimatesRankInEnumerationOrder) {
+  // Pairwise-disjoint sets: no two share a signature, so every estimate
+  // is its signature term alone. For k = 2 all thirty n1 = 3 settings
+  // spend 3 signatures per set and tie exactly on (F2, cost); the first
+  // enumerated, (3, 2), must win, and the tied rest follow in order.
+  SetCollectionBuilder builder;
+  for (ElementId i = 0; i < 200; ++i) {
+    std::vector<ElementId> set;
+    for (ElementId j = 0; j < 30; ++j) set.push_back(i * 30 + j);
+    builder.Add(set);
+  }
+  SetCollection input = builder.Build();
+  obs::AdvisorTrace trace;
+  AdvisorOptions options;
+  options.trace = &trace;
+  std::vector<PartEnumChoice> all = EvaluatePartEnumParams(input, 2, 0,
+                                                           options);
+  for (const obs::AdvisorCandidate& row : trace.candidates) {
+    ASSERT_EQ(row.sample_collisions, 0) << row.label;
+  }
+  ASSERT_GE(all.size(), 30u);
+  for (uint32_t i = 0; i < 30; ++i) {
+    EXPECT_EQ(all[i].params.n1, 3u);
+    EXPECT_EQ(all[i].params.n2, 2 + i);
+    EXPECT_EQ(all[i].estimated_f2, all[0].estimated_f2);
+  }
+  auto best = ChoosePartEnumParams(input, 2);
+  ASSERT_TRUE(best.ok());
+  EXPECT_EQ(best->params.n1, 3u);
+  EXPECT_EQ(best->params.n2, 2u);
+}
+
+TEST(AdvisorTest, PrunedSearchMatchesExhaustiveFront) {
+  // Branch-and-bound drops a setting only once its signature term alone
+  // exceeds the best estimate so far, so every Choose* must return the
+  // exhaustive Evaluate* front: the same setting and the bit-identical
+  // estimate.
+  const SetCollection inputs[] = {Synthetic(400),
+                                  ZipfCollection(400, 24, 4000, 0.8, 17)};
+  WeightFunction weights = [](ElementId e) {
+    return 1.0 + static_cast<double>(e % 5);
+  };
+  const std::vector<double> thresholds = {2.0, 4.0, 6.0};
+  uint64_t pruned_on_skewed = 0;
+  for (size_t which = 0; which < 2; ++which) {
+    const SetCollection& input = inputs[which];
+    for (size_t target : {size_t{2000}, size_t{2000000}}) {
+      for (bool ams : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "input " << which << " target "
+                                        << target << " ams " << ams);
+        AdvisorOptions options;
+        options.sample_size = 200;
+        options.max_signatures_per_set = 64;
+        options.use_ams_sketch = ams;
+        obs::AdvisorTrace trace;
+        AdvisorOptions traced = options;
+        traced.trace = &trace;
+
+        std::vector<PartEnumChoice> all =
+            EvaluatePartEnumParams(input, 4, target, options);
+        auto best = ChoosePartEnumParams(input, 4, target, traced);
+        ASSERT_TRUE(best.ok());
+        EXPECT_EQ(best->params.n1, all.front().params.n1);
+        EXPECT_EQ(best->params.n2, all.front().params.n2);
+        EXPECT_EQ(best->signatures_per_set, all.front().signatures_per_set);
+        EXPECT_EQ(best->estimated_f2, all.front().estimated_f2);
+        EXPECT_EQ(trace.candidates.size() + trace.pruned_settings,
+                  all.size());
+        if (which == 1) pruned_on_skewed += trace.pruned_settings;
+
+        std::vector<LshChoice> lsh =
+            EvaluateLshParams(input, 0.8, 0.05, 6, target, options);
+        auto lsh_best = ChooseLshParams(input, 0.8, 0.05, 6, target, options);
+        ASSERT_TRUE(lsh_best.ok());
+        EXPECT_EQ(lsh_best->params.g, lsh.front().params.g);
+        EXPECT_EQ(lsh_best->params.l, lsh.front().params.l);
+        EXPECT_EQ(lsh_best->estimated_f2, lsh.front().estimated_f2);
+
+        std::vector<WtEnumChoice> wt = EvaluateWtEnumPruningThresholds(
+            input, weights, weights, 20.0, thresholds, target, options);
+        auto wt_best = ChooseWtEnumPruningThreshold(
+            input, weights, weights, 20.0, thresholds, target, options);
+        ASSERT_TRUE(wt_best.ok());
+        EXPECT_EQ(wt_best->pruning_threshold, wt.front().pruning_threshold);
+        EXPECT_EQ(wt_best->estimated_f2, wt.front().estimated_f2);
+      }
+    }
+  }
+  EXPECT_GT(pruned_on_skewed, 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 
+#include "baselines/identity_scheme.h"
 #include "core/partenum_jaccard.h"
 #include "core/predicate.h"
 #include "core/ssjoin.h"
@@ -210,6 +211,62 @@ TEST_F(PipelineMetricsTest, RuntimeCountersStayOutOfStableExport) {
   EXPECT_NE(stable.find("pipeline.siggen.rows_out"), std::string::npos);
   EXPECT_EQ(stable.find("pipeline.siggen.batches"), std::string::npos);
   EXPECT_EQ(stable.find(".ns\""), std::string::npos);
+}
+
+// Verify forks the pool only for a chunk that holds enough surviving
+// candidates to pay for it. A hub element shared by every set makes
+// every pair an identity-signature candidate: dozens of 16,384-candidate
+// chunks, of which the bitmap test leaves only the planted
+// near-duplicates. A 4-thread join then forks only for siggen, the
+// signature grouping, the bitmap table and the probe — four fork-joins,
+// not one more per chunk — and returns the 1-thread pairs.
+TEST(VerifyForkJoinTest, SparseChunksAreEvaluatedInline) {
+  SetCollectionBuilder builder;
+  ElementId next = 1;
+  for (size_t i = 0; i < 1200; ++i) {
+    std::vector<ElementId> set = {0};
+    for (int j = 0; j < 19; ++j) set.push_back(next++);
+    builder.Add(set);
+    if (i % 100 == 0) {  // a near-duplicate: jaccard 19/21
+      set.back() = next++;
+      builder.Add(set);
+    }
+  }
+  SetCollection input = builder.Build();
+  IdentityScheme scheme;
+  JaccardPredicate predicate(0.8);
+
+  struct Run {
+    JoinResult result;
+    std::map<std::string, uint64_t> counters;
+  };
+  auto run = [&](size_t threads) {
+    MetricsRegistry metrics;
+    JoinOptions options;
+    options.num_threads = threads;
+    options.metrics = &metrics;
+    Run out{Join(SelfJoinRequest(input, scheme, predicate, options)), {}};
+    EXPECT_TRUE(out.result.status.ok()) << out.result.status.ToString();
+    for (const MetricRecord& record : metrics.Snapshot()) {
+      if (record.kind == MetricKind::kCounter) {
+        out.counters[record.name] = record.counter_value;
+      }
+    }
+    return out;
+  };
+  Run serial = run(1);
+  Run parallel = run(4);
+
+  EXPECT_GE(parallel.counters["pipeline.verify.batches"], 40u);
+  EXPECT_EQ(parallel.result.stats.results, 12u);
+  EXPECT_LT(parallel.counters["pipeline.verify.rows_in"], 100u);
+  EXPECT_EQ(parallel.counters["threadpool.forkjoins"], 4u);
+  EXPECT_EQ(parallel.result.pairs, serial.result.pairs);
+  EXPECT_EQ(parallel.result.stats.candidates, serial.result.stats.candidates);
+  EXPECT_EQ(parallel.result.stats.bitmap_filter_pruned,
+            serial.result.stats.bitmap_filter_pruned);
+  EXPECT_EQ(parallel.result.stats.false_positives,
+            serial.result.stats.false_positives);
 }
 
 }  // namespace
