@@ -159,20 +159,6 @@ JoinResult BenchRun::BinaryJoin(const SetCollection& r,
              std::move(options));
 }
 
-JoinResult BenchRun::Pipelined(const SetCollection& input,
-                               const SignatureScheme& scheme,
-                               const Predicate& predicate) {
-  return Pipelined(input, scheme, predicate, Options());
-}
-
-JoinResult BenchRun::Pipelined(const SetCollection& input,
-                               const SignatureScheme& scheme,
-                               const Predicate& predicate,
-                               JoinOptions options) {
-  return Run(&input, nullptr, scheme, predicate,
-             ExecutionMode::kPipelinedSelfJoin, std::move(options));
-}
-
 bool BenchRun::Finish() {
   std::string report = flags_.report_out.empty()
                            ? "BENCH_" + name_ + "_report.jsonl"

@@ -172,7 +172,7 @@ BenchFlags ParseBenchFlags(int argc, char** argv);
 /// signature join through the unified Join() facade, and writes the
 /// structured run report on Finish(). This replaces the per-bench
 /// JoinOptions / sink plumbing — a bench builds workloads and calls
-/// SelfJoin / BinaryJoin / Pipelined, nothing else.
+/// SelfJoin / BinaryJoin, nothing else.
 class BenchRun {
  public:
   /// `bench_name` names the default report file,
@@ -200,12 +200,6 @@ class BenchRun {
   JoinResult BinaryJoin(const SetCollection& r, const SetCollection& s,
                         const SignatureScheme& scheme,
                         const Predicate& predicate, JoinOptions options);
-  JoinResult Pipelined(const SetCollection& input,
-                       const SignatureScheme& scheme,
-                       const Predicate& predicate);
-  JoinResult Pipelined(const SetCollection& input,
-                       const SignatureScheme& scheme,
-                       const Predicate& predicate, JoinOptions options);
 
   /// The run's sinks, for joins that do not go through the facade
   /// (string joins, DBMS plans).

@@ -1,15 +1,13 @@
 // Supporting experiment: execution strategies for the same Figure-2
 // outline. The paper argues engineering details (indexing, pipelining,
 // DBMS-vs-custom) are "mostly orthogonal to the high-level outline" —
-// here the sort-based driver, the pipelined inverted-index driver, and a
-// binary (R x S) join run the same PartEnum scheme and must agree on
-// output and on the implementation-independent measures (signatures,
-// collisions, candidates) while differing only in wall time.
+// here the sort-based self-join and a binary (R x S) join over the two
+// halves of the input run the same PartEnum scheme.
 
 // Pass --threads N to additionally run every strategy at N workers: the
 // parallel rows must reproduce the serial output and counters exactly
 // (the determinism contract of DESIGN.md Section 6), differing only in
-// wall time.
+// wall time; a divergence exits 1.
 
 #include "bench_common.h"
 #include "bench_schemes.h"
@@ -24,8 +22,7 @@ int main(int argc, char** argv) {
   BenchRun run("execution_strategies", flags);
   size_t threads =
       flags.threads_given ? ResolveThreadCount(flags.threads) : 1;
-  std::printf(
-      "=== Execution strategies: sorted vs pipelined vs binary ===\n\n");
+  std::printf("=== Execution strategies: sorted self vs binary ===\n\n");
   PrintTimeHeader();
   for (size_t size : {Scaled(5000), Scaled(20000)}) {
     SetCollection input = AddressTokenSets(size);
@@ -39,13 +36,6 @@ int main(int argc, char** argv) {
       JoinResult sorted =
           run.SelfJoin(input, *made->scheme, predicate, JoinOptions{});
       PrintTimeRow(size, threshold, "self/sorted", sorted.stats);
-      JoinResult pipelined =
-          run.Pipelined(input, *made->scheme, predicate, JoinOptions{});
-      PrintTimeRow(size, threshold, "self/pipelined", pipelined.stats);
-      if (sorted.pairs != pipelined.pairs) {
-        std::printf("!! sorted and pipelined outputs DISAGREE\n");
-        return 1;
-      }
 
       // Binary: split the collection into halves R and S.
       SetCollectionBuilder r_builder, s_builder;
@@ -66,18 +56,12 @@ int main(int argc, char** argv) {
         JoinResult par_sorted =
             run.SelfJoin(input, *made->scheme, predicate, options);
         PrintTimeRow(size, threshold, label, par_sorted.stats);
-        std::snprintf(label, sizeof(label), "self/pipelined(t=%zu)",
-                      threads);
-        JoinResult par_pipelined =
-            run.Pipelined(input, *made->scheme, predicate, options);
-        PrintTimeRow(size, threshold, label, par_pipelined.stats);
         std::snprintf(label, sizeof(label), "binary/halves(t=%zu)",
                       threads);
         JoinResult par_binary =
             run.BinaryJoin(r, s, *made->scheme, predicate, options);
         PrintTimeRow(size, threshold, label, par_binary.stats);
         if (par_sorted.pairs != sorted.pairs ||
-            par_pipelined.pairs != sorted.pairs ||
             par_binary.pairs != binary.pairs) {
           std::printf("!! parallel output DIVERGES from serial\n");
           return 1;
@@ -87,9 +71,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf(
-      "(expected: identical candidates/results between sorted and\n"
-      " pipelined — and between serial and parallel rows; the paper's\n"
-      " 'relative performances similar for binary SSJoins' expectation\n"
-      " shows as proportional costs on the halves)\n");
+      "(expected: identical candidates/results between serial and\n"
+      " parallel rows; the paper's 'relative performances similar for\n"
+      " binary SSJoins' expectation shows as proportional costs on the\n"
+      " halves)\n");
   return run.Finish() ? 0 : 1;
 }

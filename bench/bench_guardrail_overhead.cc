@@ -5,9 +5,8 @@
 // workload (50-element sets, 10000-element domain) at Scaled(100000)
 // sets: the advisor-tuned PEN self-join runs alternately without a guard
 // and with a fully-armed guard (deadline + memory budget + breaker all
-// active, limits generous enough never to trip), for both the sorted and
-// the pipelined driver. Outputs are byte-compared; the best-of-reps
-// times and the overhead fraction land in
+// active, limits generous enough never to trip). Outputs are
+// byte-compared; the best-of-reps times and the overhead fraction land in
 // BENCH_guardrail_overhead.json (--json-out to override). --threads N
 // measures the parallel drivers; --deadline-ms / --memory-budget-mb /
 // --max-candidate-ratio override the guard's (never-tripping) limits.
@@ -162,11 +161,6 @@ int main(int argc, char** argv) {
     options.guard = guard;
     return run.SelfJoin(input, *made->scheme, predicate, options);
   };
-  auto pipelined = [&](ExecutionGuard* guard) {
-    JoinOptions options = base;
-    options.guard = guard;
-    return run.Pipelined(input, *made->scheme, predicate, options);
-  };
 
   std::printf("--- Guardrail overhead: %s, n=%zu, gamma=%.1f, threads=%zu "
               "---\n",
@@ -176,7 +170,6 @@ int main(int argc, char** argv) {
 
   std::vector<DriverRow> rows;
   rows.push_back(MeasureDriver("sorted", sorted, budget));
-  rows.push_back(MeasureDriver("pipelined", pipelined, budget));
   for (const DriverRow& r : rows) {
     std::printf("%-12s %14.3f %14.3f %9.2f%% %10s\n", r.driver,
                 r.unguarded_seconds, r.guarded_seconds, 100 * r.Overhead(),

@@ -4,10 +4,10 @@
 // telemetry at all, and attached sinks must not change the output. This
 // harness measures both on the paper's synthetic equi-sized workload at
 // Scaled(100000) sets: the advisor-tuned PEN self-join runs alternately
-// with null sinks and with a live Tracer + MetricsRegistry, for the
-// sorted and the pipelined driver, outputs byte-compared. The best-of-reps
-// times and the overhead fraction land in BENCH_obs_overhead.json
-// (--json-out to override); --threads N measures the parallel drivers.
+// with null sinks and with a live Tracer + MetricsRegistry, outputs
+// byte-compared. The best-of-reps times and the overhead fraction land
+// in BENCH_obs_overhead.json (--json-out to override); --threads N
+// measures the parallel drivers.
 //
 // Note the roles are reversed relative to bench_guardrail_overhead: here
 // the *instrumented* leg is the B side, so "overhead" reports what a run
@@ -270,19 +270,6 @@ int main(int argc, char** argv) {
     request.options.metrics = metrics;
     return Join(request);
   };
-  auto pipelined = [&](obs::Tracer* tracer,
-                       obs::MetricsRegistry* metrics) {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = made->scheme.get();
-    request.predicate = &predicate;
-    request.mode = ExecutionMode::kPipelinedSelfJoin;
-    request.options = base;
-    request.options.tracer = tracer;
-    request.options.metrics = metrics;
-    return Join(request);
-  };
-
   std::printf("--- Observability overhead: %s, n=%zu, gamma=%.1f, "
               "threads=%zu ---\n",
               made->label.c_str(), input.size(), gamma, threads);
@@ -291,7 +278,6 @@ int main(int argc, char** argv) {
 
   std::vector<DriverRow> rows;
   rows.push_back(MeasureDriver("sorted", sorted));
-  rows.push_back(MeasureDriver("pipelined", pipelined));
   for (const DriverRow& r : rows) {
     std::printf("%-12s %14.3f %14.3f %9.2f%% %8llu %10s\n", r.driver,
                 r.null_sink_seconds, r.instrumented_seconds,
@@ -318,24 +304,12 @@ int main(int argc, char** argv) {
     request.options.metrics = metrics;
     return Join(request);
   };
-  auto pipelined_m = [&](obs::MetricsRegistry* metrics) {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = made->scheme.get();
-    request.predicate = &predicate;
-    request.mode = ExecutionMode::kPipelinedSelfJoin;
-    request.options = base;
-    request.options.metrics = metrics;
-    return Join(request);
-  };
-
   std::printf("--- Runtime observability overhead (metrics + per-op "
               "instruments + log + 50ms heartbeat) ---\n");
   std::printf("%-12s %14s %14s %10s %8s %10s\n", "driver", "null_sink_s",
               "runtime_s", "overhead", "beats", "identical");
   std::vector<DriverRow> runtime_rows;
   runtime_rows.push_back(MeasureRuntime("sorted", sorted_m));
-  runtime_rows.push_back(MeasureRuntime("pipelined", pipelined_m));
   for (const DriverRow& r : runtime_rows) {
     std::printf("%-12s %14.3f %14.3f %9.2f%% %8llu %10s\n", r.driver,
                 r.null_sink_seconds, r.instrumented_seconds,

@@ -14,9 +14,7 @@
 //     Chunk boundaries ARE the deterministic guard barriers, so the
 //     chunked verify protocol (checkpoint + breaker per boundary) falls
 //     out of the batch size instead of being re-derived inside the
-//     verifier. The pipelined source is the one exception — its
-//     deterministic unit is 1024 probe sets, so its chunks carry one
-//     unit's candidates regardless of their count.
+//     verifier.
 //
 // Determinism contract: every count stored here (start_offset,
 // pre_filter_count, the bitmap tallies) is derived from input order,

@@ -1,12 +1,8 @@
 // DedupEmitOperator: the plan's sink — appends each chunk's verified
 // pairs to the JoinResult in stream order (DESIGN.md Section 13).
 //
-// The sorted and spilled modes generate candidates globally
-// deduplicated and sorted, so plain appending already yields the final
-// sorted pair vector. The pipelined mode deduplicates per probe set but
-// emits in discovery order, so `sort_on_end` replays the legacy drivers'
-// final std::sort when the end batch arrives (skipped on an auto-spill
-// degrade: the spilled rerun's own plan emits the pairs).
+// Both sources generate candidates globally deduplicated and sorted,
+// so plain appending already yields the final sorted pair vector.
 // Its self-time counts under PostFilter — or under CandPair when
 // verification is off and the sink only drains the candidate source.
 
@@ -18,18 +14,13 @@ namespace ssjoin::pipeline {
 
 class DedupEmitOperator : public Operator {
  public:
-  DedupEmitOperator(ExecContext* ctx, bool sort_on_end)
-      : Operator(ctx, "DedupEmit", sort_on_end ? "sort" : "append",
-                 obs::names::kOpDedupEmit,
+  explicit DedupEmitOperator(ExecContext* ctx)
+      : Operator(ctx, "DedupEmit", "append", obs::names::kOpDedupEmit,
                  ctx->options->verify ? &JoinStats::postfilter_seconds
-                                      : &JoinStats::candpair_seconds),
-        sort_on_end_(sort_on_end) {}
+                                      : &JoinStats::candpair_seconds) {}
 
   Status NextBatch(Batch* out) override;
   void Close() override;
-
- private:
-  bool sort_on_end_;
 };
 
 }  // namespace ssjoin::pipeline

@@ -21,14 +21,6 @@ void Operator::Close() {
   explain->Actual(drift_name, static_cast<double>(rows_out_));
 }
 
-Status Operator::TimedOpen() {
-  const int64_t start_ns = inst_.NowNs();
-  Status status = Open();
-  inst_.RecordPull(start_ns, /*nested_ns=*/0, /*produced=*/false, rows_in_,
-                   rows_out_);
-  return status;
-}
-
 Status Operator::Pull(Batch* out) {
   const uint64_t nested_before =
       input_ != nullptr ? input_->inst_.inclusive_ns() : 0;
@@ -57,18 +49,12 @@ Status Plan::Run() {
     ops_[i]->BindInstrument(ctx_->telem, static_cast<uint32_t>(i));
   }
   Status status;
-  for (std::unique_ptr<Operator>& op : ops_) {
-    status = op->TimedOpen();
-    if (!status.ok()) break;
-  }
-  if (status.ok()) {
-    Operator* sink = ops_.back().get();
-    Batch batch;
-    while (true) {
-      batch.Reset();
-      status = sink->Pull(&batch);
-      if (!status.ok() || batch.kind == Batch::Kind::kEnd) break;
-    }
+  Operator* sink = ops_.back().get();
+  Batch batch;
+  while (true) {
+    batch.Reset();
+    status = sink->Pull(&batch);
+    if (!status.ok() || batch.kind == Batch::Kind::kEnd) break;
   }
   for (std::unique_ptr<Operator>& op : ops_) op->Close();
   return status;

@@ -9,9 +9,9 @@
 //
 // Cross-cutting concerns attach ONCE here at the base:
 //
-//   * Timing (DESIGN.md Section 14): Pull() and the Open() before it are
-//     the run's only clock. Close() adds the operator's self-time (its
-//     obs::OpInstrument) into its one JoinStats phase field.
+//   * Timing (DESIGN.md Section 14): Pull() is the run's only clock.
+//     Close() adds the operator's self-time (its obs::OpInstrument)
+//     into its one JoinStats phase field.
 //   * Telemetry: Plan::Run() binds each instrument to the run's sinks —
 //     pipeline.<tag>.* counters with a MetricsRegistry, one kStable span
 //     per operator (with rows_in/rows_out) with a Tracer. Close() also
@@ -21,9 +21,10 @@
 //     counts must be derived from deterministic stats (signatures,
 //     candidates, results) — never batch counts, which vary with
 //     scheduling.
-//   * Lifecycle: Plan::Run() opens source-first, pulls the sink to
-//     exhaustion or error, and closes every operator on every exit path
-//     (Close must be safe after a failed or skipped Open).
+//   * Lifecycle: Plan::Run() pulls the sink to exhaustion or error and
+//     closes every operator on every exit path (Close must be safe
+//     after an aborted or skipped pull loop). An operator builds its
+//     resources on its first pull.
 //
 // Contract: every Operator subclass overrides Close() and finishes it
 // with Operator::Close() (the `operator-contract` lint rule);
@@ -63,7 +64,6 @@ struct ExecContext {
   const SetCollection* right = nullptr;
   const SignatureScheme* scheme = nullptr;
   const Predicate* predicate = nullptr;
-  ExecutionMode mode = ExecutionMode::kSelfJoin;
   /// Spill policy already resolved (never SpillPolicy::kDefault).
   const JoinOptions* options = nullptr;
   ThreadPool* pool = nullptr;
@@ -71,14 +71,11 @@ struct ExecContext {
   obs::JoinTelemetry* telem = nullptr;
   JoinResult* result = nullptr;
 
-  /// Set by an operator when the auto-spill budget check fires: the
-  /// chain winds down cleanly (no guard latch) and the runner reruns
-  /// the join with the spilled chain.
+  /// Set by CandidateGen when the auto-spill budget check fires: the
+  /// chain winds down cleanly (no guard latch, nothing charged for the
+  /// dropped tables) and the runner reruns the join with the spilled
+  /// chain.
   bool degrade = false;
-  /// Guard memory the degraded chain still holds charged; the runner
-  /// releases it before the rerun (the spilled join accounts its own
-  /// footprint from zero).
-  size_t degrade_release_bytes = 0;
 };
 
 /// The JoinStats field an operator's self-time adds into: its paper
@@ -91,10 +88,6 @@ class Operator {
   Operator(const Operator&) = delete;
   Operator& operator=(const Operator&) = delete;
 
-  /// One-time setup before the first pull (eager resource builds).
-  /// Default: nothing.
-  virtual Status Open() { return Status::OK(); }
-
   /// Produces the next batch into `*out` (Reset by the caller). An end
   /// batch (Batch::Kind::kEnd) terminates the pull loop; a non-OK
   /// Status aborts it (guard trips surface here).
@@ -104,7 +97,7 @@ class Operator {
   /// field, records this operator's PlanOp into the explain report,
   /// flushes the instrument (final row totals, span close), and records
   /// the operator's rows_out as an EXPLAIN drift actual. Runs on every
-  /// exit path, including after a failed Open or an aborted pull loop.
+  /// exit path, including after an aborted pull loop.
   /// Subclasses MUST override (the operator-contract lint rule) and end
   /// with Operator::Close().
   virtual void Close();
@@ -115,11 +108,8 @@ class Operator {
   /// the pipeline.<tag>.* counters.
   Status Pull(Batch* out);
 
-  /// Open() under the same clock as Pull (Plan::Run's open pass).
-  Status TimedOpen();
-
   /// Binds the per-operator instrument to the run's sinks (called once
-  /// by Plan::Run before the open pass; `lane` is the operator's chain
+  /// by Plan::Run before the first pull; `lane` is the operator's chain
   /// position).
   void BindInstrument(obs::JoinTelemetry* telemetry, uint32_t lane) {
     inst_.Bind(telemetry, tag_, lane);
@@ -160,9 +150,9 @@ class Plan {
   /// Appends `op`, wiring its input to the previous operator.
   Operator* Add(std::unique_ptr<Operator> op);
 
-  /// Opens source-first, pulls the sink until an end batch or error,
-  /// then closes every operator in chain order (always — the close pass
-  /// is what records the executed plan tree). Returns the first error.
+  /// Pulls the sink until an end batch or error, then closes every
+  /// operator in chain order (always — the close pass is what records
+  /// the executed plan tree). Returns the first error.
   Status Run();
 
  private:

@@ -4,15 +4,14 @@
 // telemetry discipline, explain plan recording — lives in the
 // operators, once.
 //
-//   Sorted     SigGen -> CandidateGen [-> Verify] -> DedupEmit
-//   Pipelined  PipelinedScan [-> Verify] -> DedupEmit
+//   In memory  SigGen -> CandidateGen [-> Verify] -> DedupEmit
 //   Spilled    SpillPartition [-> Verify] -> DedupEmit
 //
 // Verify exists only when options.verify. Every source runs the bitmap
 // test itself (options.bitmap_bits != 0) and hands Verify only the
-// survivors. The sorted and spilled chains emit globally sorted
-// candidates, so their DedupEmit appends; the pipelined chain emits in
-// discovery order and sorts at end of stream.
+// survivors. Both sources emit globally sorted candidates in
+// 16384-candidate chunks, so Verify walks the same guarded super-chunk
+// barriers and DedupEmit appends.
 
 #pragma once
 
@@ -20,10 +19,8 @@
 
 namespace ssjoin::pipeline {
 
-/// Fills `plan` with the chain for `ctx->mode`: the spilled chain when
-/// `spill` is set (either self-join mode or the binary join), otherwise
-/// the pipelined chain for kPipelinedSelfJoin and the sorted chain for
-/// the rest.
+/// Fills `plan` with the spilled chain when `spill` is set (self or
+/// binary join), otherwise with the in-memory chain.
 void BuildPlan(Plan* plan, ExecContext* ctx, bool spill);
 
 }  // namespace ssjoin::pipeline

@@ -1,21 +1,14 @@
 // VerifyOperator: predicate verification over candidate chunks
-// (DESIGN.md Section 13). One operator serves both protocols:
-//
-//   * Chunked (sorted and spilled modes): every chunk boundary is the
-//     legacy verify super-chunk barrier. Per chunk, with a guard:
-//     Checkpoint(kVerify), CheckBreaker(chunk start, results so far),
-//     THEN commit the chunk's bitmap tallies, which the source filled
-//     when it ran the bitmap test (a trip at the barrier must leave
-//     stats exactly as the legacy loop did), then the
-//     parallel evaluate inside a "verify_chunk" runtime sample, then
-//     ChargeMemory for the appended pairs. The end batch runs the
-//     final breaker over the complete pre-filter totals (with a
-//     leading checkpoint when the stream was empty — the legacy
-//     pre-loop checkpoint).
-//   * Inline (pipelined mode): no guard interaction (the source owns
-//     the barriers) and no per-chunk samples.
-//
-// Either way the operator's self-time counts under PostFilter.
+// (DESIGN.md Section 13). Every chunk boundary is the legacy verify
+// super-chunk barrier. Per chunk, with a guard: Checkpoint(kVerify),
+// CheckBreaker(chunk start, results so far), THEN commit the chunk's
+// bitmap tallies, which the source filled when it ran the bitmap test
+// (a trip at the barrier must leave stats exactly as the legacy loop
+// did), then the parallel evaluate inside a "verify_chunk" runtime
+// sample, then ChargeMemory for the appended pairs. The end batch runs
+// the final breaker over the complete pre-filter totals (with a leading
+// checkpoint when the stream was empty — the legacy pre-loop
+// checkpoint). The operator's self-time counts under PostFilter.
 //
 // A chunk holds only the pairs that passed the source's bitmap test,
 // often a handful out of 16,384 candidates; a chunk forks the pool only
@@ -39,12 +32,9 @@ namespace ssjoin::pipeline {
 
 class VerifyOperator : public Operator {
  public:
-  /// `chunked` selects the sorted/spilled super-chunk protocol; false
-  /// is the pipelined inline discipline.
-  VerifyOperator(ExecContext* ctx, bool chunked)
-      : Operator(ctx, "Verify", chunked ? "chunked" : "inline",
-                 obs::names::kOpVerify, &JoinStats::postfilter_seconds),
-        chunked_(chunked) {}
+  explicit VerifyOperator(ExecContext* ctx)
+      : Operator(ctx, "Verify", "chunked", obs::names::kOpVerify,
+                 &JoinStats::postfilter_seconds) {}
 
   Status NextBatch(Batch* out) override;
   void Close() override;
@@ -53,7 +43,6 @@ class VerifyOperator : public Operator {
   Status VerifyChunk(CandidateChunk* chunk);
   void EvaluateChunk(CandidateChunk* chunk);
 
-  bool chunked_;
   bool any_chunk_ = false;
   size_t total_pre_filter_ = 0;
   bool histogram_ready_ = false;

@@ -1,5 +1,7 @@
 #include "core/similarity_index.h"
 
+#include <algorithm>
+
 #include "core/driver_internal.h"
 
 namespace ssjoin {
@@ -19,7 +21,7 @@ SetId SimilarityIndex::Insert(std::span<const ElementId> set) {
 
   std::vector<Signature> sigs;
   detail::GenerateSorted(*scheme_, set, &sigs);
-  postings_.Add(sigs, id);
+  Add(sigs, id);
   ++stats_.inserted;
   return id;
 }
@@ -30,13 +32,30 @@ void SimilarityIndex::InsertAll(const SetCollection& collection) {
   }
 }
 
+void SimilarityIndex::Add(std::span<const Signature> sigs, SetId id) {
+  for (Signature sig : sigs) postings_[sig].push_back(id);
+}
+
+void SimilarityIndex::Probe(std::span<const Signature> sigs,
+                            std::vector<SetId>* partners) const {
+  partners->clear();
+  for (Signature sig : sigs) {
+    auto it = postings_.find(sig);
+    if (it == postings_.end()) continue;
+    partners->insert(partners->end(), it->second.begin(), it->second.end());
+  }
+  std::sort(partners->begin(), partners->end());
+  partners->erase(std::unique(partners->begin(), partners->end()),
+                  partners->end());
+}
+
 std::vector<SetId> SimilarityIndex::Lookup(
     std::span<const ElementId> probe) const {
   ++stats_.lookups;
   std::vector<Signature> sigs;
   detail::GenerateSorted(*scheme_, probe, &sigs);
   std::vector<SetId> candidates;
-  postings_.Probe(sigs, &candidates);
+  Probe(sigs, &candidates);
   stats_.candidates += candidates.size();
 
   std::vector<SetId> results;

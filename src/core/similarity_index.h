@@ -17,10 +17,11 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/predicate.h"
-#include "core/signature_index.h"
 #include "core/signature_scheme.h"
 #include "core/types.h"
 #include "data/collection.h"
@@ -83,11 +84,19 @@ class SimilarityIndex {
     uint32_t size;
   };
 
+  // Posts `id` under every signature in `sigs` (sorted and distinct).
+  void Add(std::span<const Signature> sigs, SetId id);
+  // Replaces *partners with the ids posted under any of `sigs`,
+  // ascending and distinct.
+  void Probe(std::span<const Signature> sigs,
+             std::vector<SetId>* partners) const;
+
   SignatureSchemePtr scheme_;
   std::shared_ptr<const Predicate> predicate_;
   std::vector<Entry> stored_;
   std::vector<ElementId> stored_elements_;  // CSR payload
-  SignatureIndex postings_;
+  // The inverted index over signatures.
+  std::unordered_map<Signature, std::vector<SetId>> postings_;
   mutable IndexStats stats_;
 };
 

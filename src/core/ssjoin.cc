@@ -152,12 +152,11 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
 }
 
 // The one plan runner behind Join(). `spill` selects the out-of-core
-// source (SpillPartition); otherwise the mode picks it — PipelinedScan
-// for the pipelined self-join, SigGen -> CandidateGen for the sorted
-// self and binary joins. When an in-memory source degrades under the
-// auto-spill budget, the runner hands its charges back and reruns the
-// same request out of core; that rerun opens its own telemetry root and
-// accounts its footprint from zero.
+// source (SpillPartition); otherwise SigGen -> CandidateGen runs the
+// join in memory. When CandidateGen degrades under the auto-spill
+// budget (it drops its tables before charging them), the runner reruns
+// the same request out of core; that rerun opens its own telemetry root
+// and accounts its footprint from zero.
 JoinResult RunPlan(const JoinRequest& request, bool spill) {
   const JoinOptions& options = request.options;
   const SetCollection& left = *request.left;
@@ -206,7 +205,6 @@ JoinResult RunPlan(const JoinRequest& request, bool spill) {
   ctx.right = right;
   ctx.scheme = request.scheme;
   ctx.predicate = request.predicate;
-  ctx.mode = request.mode;
   ctx.options = &options;
   ctx.pool = &pool;
   ctx.guard = guard;
@@ -220,7 +218,6 @@ JoinResult RunPlan(const JoinRequest& request, bool spill) {
     // tables (an auto-spill degrade never latches the guard).
     obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
                   {{"mode", mode}});
-    guard->ReleaseMemory(ctx.degrade_release_bytes);
     return RunPlan(request, /*spill=*/true);
   }
   if (!st.ok()) {
@@ -259,8 +256,6 @@ std::string_view ExecutionModeName(ExecutionMode mode) {
       return "self";
     case ExecutionMode::kBinaryJoin:
       return "binary";
-    case ExecutionMode::kPipelinedSelfJoin:
-      return "pipelined_self";
   }
   return "unknown";
 }
@@ -298,7 +293,6 @@ Status JoinRequest::Validate() const {
   SSJOIN_RETURN_NOT_OK(ValidateJoinOptions(options));
   switch (mode) {
     case ExecutionMode::kSelfJoin:
-    case ExecutionMode::kPipelinedSelfJoin:
       if (right != nullptr && right != left) {
         return Status::InvalidArgument(
             "self-join modes take a single input; JoinRequest::right must "

@@ -17,10 +17,10 @@
 // byte-identical for every thread count.
 //
 // Entry point: build a JoinRequest and call Join(). The request names
-// the inputs, the scheme/predicate pair, the ExecutionMode (sorted
-// binary, sorted self, pipelined self) and the JoinOptions — including
-// the observability sinks (obs::Tracer / obs::MetricsRegistry) every
-// execution path publishes into.
+// the inputs, the scheme/predicate pair, the ExecutionMode (self or
+// binary) and the JoinOptions — including the observability sinks
+// (obs::Tracer / obs::MetricsRegistry) every execution path publishes
+// into.
 
 #pragma once
 
@@ -169,9 +169,9 @@ Status ValidateJoinOptions(const JoinOptions& options);
 struct JoinStats {
   // Phase wall-clock seconds (the stacked bars of Figures 12/18/19).
   // Join() sums its operators' self-times by phase (DESIGN.md Section
-  // 14). Pipelined and spilled runs generate signatures inside their
-  // CandPair source, so they report siggen_seconds = 0 with that work
-  // inside candpair_seconds. The bitmap test runs inside the candidate
+  // 14). Spilled runs generate signatures inside their CandPair source,
+  // so they report siggen_seconds = 0 with that work inside
+  // candpair_seconds. The bitmap test runs inside the candidate
   // source, so it counts under candpair_seconds too; verify == false
   // leaves postfilter 0.
   double siggen_seconds = 0;
@@ -249,15 +249,6 @@ enum class ExecutionMode {
   /// Sorted binary join between collections R and S; the same scheme
   /// instance generates signatures for both sides.
   kBinaryJoin = 1,
-  /// Pipelined self-join: sets are processed in id order against an
-  /// incrementally-built inverted index over signatures, and candidates
-  /// are verified per unit of 1024 probe sets (candidate generation and
-  /// post-filtering "performed in a pipelined fashion", Section 3's
-  /// engineering note, following [6]). Identical output and
-  /// signature/candidate accounting as kSelfJoin; peak memory drops from
-  /// all-candidates to one unit's candidates. The scan runs the same
-  /// loop at every thread count; threads speed up verification.
-  kPipelinedSelfJoin = 2,
 };
 
 std::string_view ExecutionModeName(ExecutionMode mode);

@@ -146,9 +146,9 @@ class JoinTelemetry {
 
 /// Per-operator pipeline instrumentation (DESIGN.md Section 14), the one
 /// clock of a Join() run. One OpInstrument lives in each pipeline
-/// Operator and times every Pull (and the Open) whatever sinks are
-/// attached; Operator::Close adds self_ns() into the operator's JoinStats
-/// phase field. Plan::Run binds it to the run's sinks: with a registry it
+/// Operator and times every Pull whatever sinks are attached;
+/// Operator::Close adds self_ns() into the operator's JoinStats phase
+/// field. Plan::Run binds it to the run's sinks: with a registry it
 /// publishes "pipeline.<tag>." + {batches, rows_in, rows_out, ns} from
 /// the same nanoseconds — row totals kStable (functions of input and
 /// plan), batches and ns kRuntime — and with a tracer it owns the
@@ -185,8 +185,7 @@ class OpInstrument {
   /// Monotonic nanoseconds; only meaningful for differences.
   int64_t NowNs() const;
 
-  /// Accounts one Pull (or the operator's Open: no nested time, nothing
-  /// produced): `start_ns` from NowNs() before the call, `nested_ns` the
+  /// Accounts one Pull: `start_ns` from NowNs() before the call, `nested_ns` the
   /// inclusive time the input operator consumed inside it, `produced`
   /// whether a data batch came out. When bound, publishes the row
   /// totals as deltas against the last published values, so the
@@ -194,8 +193,8 @@ class OpInstrument {
   void RecordPull(int64_t start_ns, uint64_t nested_ns, bool produced,
                   uint64_t rows_in, uint64_t rows_out);
 
-  /// Total time spent inside this operator's Open and Pull calls
-  /// (including its inputs) — the parent's nested_ns.
+  /// Total time spent inside this operator's Pull calls (including its
+  /// inputs) — the parent's nested_ns.
   uint64_t inclusive_ns() const { return inclusive_ns_; }
 
   /// This operator's own time: inclusive_ns() minus its inputs' share.

@@ -161,7 +161,6 @@ inline constexpr std::string_view kPipelineSuffixNs = ".ns";
 // human-facing operator names that the EXPLAIN plan prints.
 inline constexpr std::string_view kOpSigGen = "siggen";
 inline constexpr std::string_view kOpCandGen = "candgen";
-inline constexpr std::string_view kOpPipelinedScan = "pipelined_scan";
 inline constexpr std::string_view kOpVerify = "verify";
 inline constexpr std::string_view kOpDedupEmit = "dedup_emit";
 inline constexpr std::string_view kOpSpillPartition = "spill_partition";

@@ -59,11 +59,11 @@ void ThreadPool::BindMetrics(obs::MetricsRegistry* metrics) {
 }
 
 void ThreadPool::RunOnAll(const std::function<void(size_t)>& job) {
-  if (forkjoins_ != nullptr) forkjoins_->Add(1);
   if (threads_.empty()) {
     job(0);
     return;
   }
+  if (forkjoins_ != nullptr) forkjoins_->Add(1);
   {
     util::MutexLock lock(mutex_);
     SSJOIN_CHECK(job_ == nullptr, "ThreadPool::RunOnAll is not reentrant");
@@ -117,10 +117,6 @@ void ThreadPool::WorkerLoop(size_t index) {
 void ParallelFor(ThreadPool& pool, size_t total,
                  const std::function<void(size_t, size_t, size_t)>& fn) {
   size_t chunks = pool.size();
-  if (chunks == 1) {
-    fn(0, total, 0);
-    return;
-  }
   pool.RunOnAll([&](size_t chunk) {
     ChunkRange range = ChunkOf(total, chunks, chunk);
     fn(range.begin, range.end, chunk);
@@ -143,10 +139,6 @@ void ParallelFor(ThreadPool& pool, size_t total,
       fn(begin, std::min(begin + block, range.end), chunk);
     }
   };
-  if (chunks == 1) {
-    run_chunk(0);
-    return;
-  }
   pool.RunOnAll(run_chunk);
 }
 

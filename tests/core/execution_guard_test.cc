@@ -1,12 +1,12 @@
 // Guardrail coverage (ctest label `guardrail`; DESIGN.md Section 7):
-// fault-injected trips in every Figure-2 phase for all three drivers,
-// real deadline / memory-budget / breaker trips, cross-thread
-// cancellation, the PartEnum advisor-retry path, and the two determinism
-// contracts — an injected trip, or a real memory trip mid pipelined
-// scan, yields identical Status and partial stats at every thread count,
-// and a guard that never trips leaves the output byte-identical to an
-// unguarded run. Runs under the asan-ubsan and tsan
-// CI presets via `ctest -L guardrail`.
+// fault-injected trips in every Figure-2 phase for the self and binary
+// joins, real deadline / memory-budget / breaker trips, cross-thread
+// cancellation, the PartEnum advisor-retry path, and the two
+// determinism contracts — an injected trip, or a real memory trip,
+// yields identical Status and partial stats at every thread count, and
+// a guard that never trips leaves the output byte-identical to an
+// unguarded run. Runs under the asan-ubsan and tsan CI presets via
+// `ctest -L guardrail`.
 
 #include "core/execution_guard.h"
 
@@ -29,16 +29,6 @@
 
 namespace ssjoin {
 namespace {
-
-// Join()-facade shorthand for the pipelined self-join mode.
-JoinResult RunPipelined(const SetCollection& input,
-                        const SignatureScheme& scheme,
-                        const Predicate& predicate,
-                        const JoinOptions& options = {}) {
-  JoinRequest request = SelfJoinRequest(input, scheme, predicate, options);
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
-  return Join(request);
-}
 
 using enum JoinPhase;
 using TripReason = ExecutionGuard::TripReason;
@@ -237,27 +227,6 @@ TEST_F(ExecutionGuardTest, InjectedTripBinaryJoin) {
   }
 }
 
-TEST_F(ExecutionGuardTest, InjectedTripPipelinedSelfJoin) {
-  SetCollection input = Workload(300);
-  IdentityScheme scheme;
-  JaccardPredicate predicate(0.9);
-  for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
-    fault::InjectTrip(phase, StatusCode::kResourceExhausted);
-    ExecutionGuard guard(Generous());
-    JoinOptions options;
-    options.guard = &guard;
-    JoinResult result = RunPipelined(input, scheme, predicate, options);
-    EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
-        << JoinPhaseName(phase);
-    EXPECT_TRUE(result.pairs.empty());
-    EXPECT_EQ(guard.trip_phase(), phase);
-    // The pipelined barrier runs before any probing, so an injection
-    // armed before the run trips with nothing committed.
-    EXPECT_EQ(result.stats.results, 0u);
-    fault::Clear();
-  }
-}
-
 // The determinism contract: an injected (budget-class) trip produces the
 // same Status, the same trip phase, and the same partial stats whether
 // the join ran serial or on four workers.
@@ -266,79 +235,29 @@ TEST_F(ExecutionGuardTest, InjectedTripDeterministicAcrossThreadCounts) {
   IdentityScheme scheme;
   JaccardPredicate predicate(0.9);
   for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
-    auto run = [&](size_t threads, bool pipelined) {
+    auto run = [&](size_t threads) {
       fault::InjectTrip(phase, StatusCode::kResourceExhausted);
       ExecutionGuard guard(Generous());
       JoinOptions options;
       options.num_threads = threads;
       options.guard = &guard;
       JoinResult result =
-          pipelined ? RunPipelined(input, scheme, predicate, options)
-                    : Join(SelfJoinRequest(input, scheme, predicate, options));
+          Join(SelfJoinRequest(input, scheme, predicate, options));
       fault::Clear();
       EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
       EXPECT_EQ(guard.trip_phase(), phase);
       return result;
     };
-    for (bool pipelined : {false, true}) {
-      JoinResult serial = run(1, pipelined);
-      JoinResult parallel = run(4, pipelined);
-      EXPECT_EQ(serial.pairs, parallel.pairs);  // both empty
-      ExpectSameStats(serial.stats, parallel.stats,
-                      pipelined ? "pipelined" : "sorted");
-    }
-  }
-}
-
-// The same contract for a real memory-budget trip in the middle of a
-// pipelined scan: the scan's barriers fall every 1024 sets at every
-// thread count, so the trip lands after the same unit with the same
-// partial stats. Spill is pinned off so the budget trips instead of
-// degrading (and a CI-wide SSJOIN_SPILL=force cannot reroute the run).
-TEST_F(ExecutionGuardTest, PipelinedMemoryTripDeterministicAcrossThreadCounts) {
-  UniformSetOptions workload;
-  workload.num_sets = 3000;
-  workload.set_size = 10;
-  workload.domain_size = 500;
-  workload.similar_fraction = 0;
-  SetCollection input = GenerateUniformSets(workload);
-  IdentityScheme scheme;
-  JaccardPredicate predicate(0.9);
-  auto run = [&](size_t threads, JoinPhase* phase) {
-    ExecutionBudget budget;
-    budget.memory_budget_bytes = 100000;
-    ExecutionGuard guard(budget);
-    JoinOptions options;
-    options.num_threads = threads;
-    options.guard = &guard;
-    options.spill.policy = SpillPolicy::kDisabled;
-    JoinResult result = RunPipelined(input, scheme, predicate, options);
-    EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
-        << "t=" << threads;
-    EXPECT_EQ(guard.trip_reason(), TripReason::kMemory) << "t=" << threads;
-    EXPECT_TRUE(result.pairs.empty());
-    *phase = guard.trip_phase();
-    return result;
-  };
-  JoinPhase serial_phase;
-  JoinResult serial = run(1, &serial_phase);
-  // Mid-scan: at least one whole unit ran before the trip.
-  EXPECT_GT(serial.stats.signatures_r, 0u);
-  EXPECT_LT(serial.stats.signatures_r, 3000u * 10u);
-  for (size_t threads : {size_t{2}, size_t{3}, size_t{4}}) {
-    JoinPhase phase;
-    JoinResult parallel = run(threads, &phase);
-    EXPECT_EQ(phase, serial_phase) << "t=" << threads;
-    EXPECT_EQ(parallel.status.message(), serial.status.message())
-        << "t=" << threads;
-    std::string label = "pipelined memory trip t=" + std::to_string(threads);
-    ExpectSameStats(serial.stats, parallel.stats, label.c_str());
+    JoinResult serial = run(1);
+    JoinResult parallel = run(4);
+    EXPECT_EQ(serial.pairs, parallel.pairs);  // both empty
+    ExpectSameStats(serial.stats, parallel.stats, "sorted");
   }
 }
 
 // The zero-interference contract: a guard that never trips changes
 // nothing — pairs, stats, and Status match the unguarded run at every
-// thread count, for all three drivers.
+// thread count, for the self and the binary join.
 TEST_F(ExecutionGuardTest, UntrippedGuardByteIdenticalToUnguarded) {
   SetCollection input = Workload(400, 45);
   PartEnumJaccardParams params;
@@ -363,41 +282,53 @@ TEST_F(ExecutionGuardTest, UntrippedGuardByteIdenticalToUnguarded) {
 
     ExecutionGuard guard2(Generous());
     guarded.guard = &guard2;
-    JoinResult c = RunPipelined(input, *scheme, predicate, plain);
-    JoinResult d = RunPipelined(input, *scheme, predicate, guarded);
+    JoinResult c = Join(BinaryJoinRequest(input, input, *scheme, predicate, plain));
+    JoinResult d = Join(BinaryJoinRequest(input, input, *scheme, predicate, guarded));
     ASSERT_TRUE(d.status.ok());
-    EXPECT_EQ(c.pairs, d.pairs) << "pipelined t=" << threads;
-    ExpectSameStats(c.stats, d.stats, "pipelined");
-    EXPECT_EQ(a.pairs, c.pairs);
-
-    ExecutionGuard guard3(Generous());
-    guarded.guard = &guard3;
-    JoinResult e = Join(BinaryJoinRequest(input, input, *scheme, predicate, plain));
-    JoinResult f = Join(BinaryJoinRequest(input, input, *scheme, predicate, guarded));
-    ASSERT_TRUE(f.status.ok());
-    EXPECT_EQ(e.pairs, f.pairs) << "binary t=" << threads;
-    ExpectSameStats(e.stats, f.stats, "binary");
+    EXPECT_EQ(c.pairs, d.pairs) << "binary t=" << threads;
+    ExpectSameStats(c.stats, d.stats, "binary");
   }
 }
 
+// A real memory-budget trip, and the determinism contract for it: the
+// signature table is the first charged allocation, so SigGen commits
+// and the trip lands at the kCandGen checkpoint. The table footprint is
+// a function of the input alone, so every thread count trips with the
+// same message, phase and partial stats. Spill is pinned off so the
+// budget trips instead of degrading (and a CI-wide SSJOIN_SPILL=force
+// cannot reroute the run).
 TEST_F(ExecutionGuardTest, RealMemoryBudgetTrip) {
   SetCollection input = Workload(300);
   IdentityScheme scheme;
   JaccardPredicate predicate(0.9);
-  ExecutionBudget budget;
-  budget.memory_budget_bytes = 1;  // nothing real fits
-  ExecutionGuard guard(budget);
-  JoinOptions options;
-  options.guard = &guard;
-  JoinResult result = Join(SelfJoinRequest(input, scheme, predicate, options));
-  EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(guard.trip_reason(), TripReason::kMemory);
-  // The signature table is the first charged allocation; the trip lands
-  // at the candidate-generation checkpoint with SigGen committed.
-  EXPECT_EQ(guard.trip_phase(), kCandGen);
-  EXPECT_GT(result.stats.signatures_r, 0u);
-  EXPECT_EQ(result.stats.candidates, 0u);
-  EXPECT_TRUE(result.pairs.empty());
+  auto run = [&](size_t threads) {
+    ExecutionBudget budget;
+    budget.memory_budget_bytes = 1;  // nothing real fits
+    ExecutionGuard guard(budget);
+    JoinOptions options;
+    options.num_threads = threads;
+    options.guard = &guard;
+    options.spill.policy = SpillPolicy::kDisabled;
+    JoinResult result =
+        Join(SelfJoinRequest(input, scheme, predicate, options));
+    EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
+        << "t=" << threads;
+    EXPECT_EQ(guard.trip_reason(), TripReason::kMemory) << "t=" << threads;
+    EXPECT_EQ(guard.trip_phase(), kCandGen) << "t=" << threads;
+    EXPECT_TRUE(result.pairs.empty());
+    return result;
+  };
+  JoinResult serial = run(1);
+  EXPECT_GT(serial.stats.signatures_r, 0u);
+  EXPECT_EQ(serial.stats.signature_collisions, 0u);
+  EXPECT_EQ(serial.stats.candidates, 0u);
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{4}}) {
+    JoinResult parallel = run(threads);
+    EXPECT_EQ(parallel.status.message(), serial.status.message())
+        << "t=" << threads;
+    std::string label = "memory trip t=" + std::to_string(threads);
+    ExpectSameStats(serial.stats, parallel.stats, label.c_str());
+  }
 }
 
 TEST_F(ExecutionGuardTest, RealDeadlineTrip) {

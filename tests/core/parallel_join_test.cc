@@ -37,16 +37,6 @@
 namespace ssjoin {
 namespace {
 
-// Join()-facade shorthand for the pipelined self-join mode.
-JoinResult RunPipelined(const SetCollection& input,
-                        const SignatureScheme& scheme,
-                        const Predicate& predicate,
-                        const JoinOptions& options = {}) {
-  JoinRequest request = SelfJoinRequest(input, scheme, predicate, options);
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
-  return Join(request);
-}
-
 std::vector<size_t> ThreadGrid() {
   size_t hw = std::thread::hardware_concurrency();
   std::vector<size_t> grid = {2, 4};
@@ -66,18 +56,14 @@ void ExpectSameStats(const JoinStats& a, const JoinStats& b,
       << label << " t=" << threads;
 }
 
-// Self-join (sorted + pipelined drivers) at every thread count must match
-// the serial reference byte for byte.
+// The self-join at every thread count must match the serial reference
+// byte for byte.
 void ExpectSelfJoinInvariant(const SetCollection& input,
                              const SignatureScheme& scheme,
                              const Predicate& predicate, const char* label) {
   JoinOptions serial;
   serial.num_threads = 1;
   JoinResult reference = Join(SelfJoinRequest(input, scheme, predicate, serial));
-  JoinResult reference_pipelined =
-      RunPipelined(input, scheme, predicate, serial);
-  EXPECT_EQ(reference.pairs, reference_pipelined.pairs) << label;
-  ExpectSameStats(reference.stats, reference_pipelined.stats, label, 1);
   for (size_t threads : ThreadGrid()) {
     JoinOptions options;
     options.num_threads = threads;
@@ -85,12 +71,6 @@ void ExpectSelfJoinInvariant(const SetCollection& input,
                                             options));
     EXPECT_EQ(reference.pairs, parallel.pairs) << label << " t=" << threads;
     ExpectSameStats(reference.stats, parallel.stats, label, threads);
-
-    JoinResult pipelined = RunPipelined(input, scheme, predicate,
-                                        options);
-    EXPECT_EQ(reference.pairs, pipelined.pairs)
-        << label << " pipelined t=" << threads;
-    ExpectSameStats(reference.stats, pipelined.stats, label, threads);
   }
 }
 
@@ -250,7 +230,7 @@ TEST(ParallelJoinTest, CollectionWithEmptySets) {
 
 TEST(ParallelJoinTest, DuplicateHeavyWorkload) {
   // Many identical sets: maximal candidate density, the stress case for
-  // the cross-shard union and for long pipelined index postings.
+  // the per-set partner dedup over long signature groups.
   std::vector<std::vector<ElementId>> sets(60, {1, 2, 3, 4, 5});
   sets.resize(75, {6, 7, 8});
   SetCollection input = SetCollection::FromVectors(sets);
@@ -408,8 +388,8 @@ void ExpectMatchesOracle(const JoinResult& got, const OracleStats& want,
   }
 }
 
-// Sorted self, pipelined self and forced-spill self joins (or the sorted
-// and spilled binary join) at 1-4 threads and every bitmap width.
+// The in-memory and the forced-spill join, self or binary, at 1-4
+// threads and every bitmap width.
 void ExpectGeneratorExact(const SetCollection& r, const SetCollection* s,
                           const SignatureScheme& scheme,
                           const Predicate& predicate, const char* label) {
@@ -417,22 +397,21 @@ void ExpectGeneratorExact(const SetCollection& r, const SetCollection* s,
     OracleStats want = BruteForce(r, s, scheme, predicate, bits);
     ASSERT_EQ(want.checked, bits == 0 ? 0 : want.candidates) << label;
     for (size_t threads = 1; threads <= 4; ++threads) {
-      for (int variant = 0; variant < 3; ++variant) {
-        if (s != nullptr && variant == 1) continue;  // no pipelined binary
+      for (bool spill : {false, true}) {
         JoinOptions options;
         options.num_threads = threads;
         options.bitmap_bits = bits;
-        if (variant == 2) options.spill.policy = SpillPolicy::kForced;
+        options.spill.policy =
+            spill ? SpillPolicy::kForced : SpillPolicy::kDisabled;
         JoinRequest request =
             s != nullptr
                 ? BinaryJoinRequest(r, *s, scheme, predicate, options)
                 : SelfJoinRequest(r, scheme, predicate, options);
-        if (variant == 1) request.mode = ExecutionMode::kPipelinedSelfJoin;
         JoinResult got = Join(request);
         std::string cell = std::string(label) + " bits=" +
                            std::to_string(bits) + " t=" +
-                           std::to_string(threads) + " variant=" +
-                           std::to_string(variant);
+                           std::to_string(threads) + " spill=" +
+                           std::to_string(spill);
         ASSERT_TRUE(got.status.ok()) << cell << ": " << got.status.ToString();
         ExpectMatchesOracle(got, want, /*pairs_kept=*/true, cell);
         EXPECT_EQ(got.stats.false_positives,

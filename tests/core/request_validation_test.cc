@@ -53,11 +53,6 @@ TEST_F(RequestValidationTest, BuilderRequestsValidate) {
   EXPECT_TRUE(self.ok()) << self.ToString();
   Status binary = ValidBinary().Validate();
   EXPECT_TRUE(binary.ok()) << binary.ToString();
-
-  JoinRequest pipelined = ValidSelf();
-  pipelined.mode = ExecutionMode::kPipelinedSelfJoin;
-  Status st = pipelined.Validate();
-  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 TEST_F(RequestValidationTest, NullLeft) {
@@ -80,15 +75,6 @@ TEST_F(RequestValidationTest, NullPredicate) {
 
 TEST_F(RequestValidationTest, SelfJoinWithForeignRight) {
   JoinRequest request = ValidSelf();
-  request.right = &other_;
-  ExpectRejected(request,
-                 "self-join modes take a single input; JoinRequest::right "
-                 "must be null or alias left");
-}
-
-TEST_F(RequestValidationTest, PipelinedSelfJoinWithForeignRight) {
-  JoinRequest request = ValidSelf();
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
   request.right = &other_;
   ExpectRejected(request,
                  "self-join modes take a single input; JoinRequest::right "
@@ -219,11 +205,12 @@ TEST(ValidateJoinOptionsTest, JoinRejectsWithTheSameStatus) {
   IdentityScheme scheme;
   JaccardPredicate predicate(0.5);
   for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
+                             ExecutionMode::kBinaryJoin}) {
     JoinOptions options;
     options.num_threads = kMaxJoinThreads + 7;
     JoinRequest request = SelfJoinRequest(input, scheme, predicate, options);
     request.mode = mode;
+    if (mode == ExecutionMode::kBinaryJoin) request.right = &input;
     Status st = request.Validate();
     JoinResult result = Join(request);
     EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);

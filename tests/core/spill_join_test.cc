@@ -123,28 +123,25 @@ class SpillJoinTest : public ::testing::Test {
 
 TEST_F(SpillJoinTest, ForcedSpillMatchesInMemorySelfJoins) {
   SetCollection input = Workload(400);
-  for (ExecutionMode mode :
-       {ExecutionMode::kSelfJoin, ExecutionMode::kPipelinedSelfJoin}) {
-    JoinResult reference =
-        Join(Request(input, mode, SpillPolicy::kDisabled));
-    ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
-    ASSERT_GT(reference.stats.results, 0u);
-    EXPECT_EQ(reference.stats.spill_partitions, 0u);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (uint32_t partitions : {1u, 3u, 8u}) {
-        JoinResult spilled = Join(Request(input, mode, SpillPolicy::kForced,
-                                          threads, partitions));
-        std::string label = std::string(ExecutionModeName(mode)) +
-                            " threads=" + std::to_string(threads) +
-                            " partitions=" + std::to_string(partitions);
-        ExpectSameOutput(spilled, reference, label);
-        EXPECT_EQ(spilled.stats.spill_partitions, partitions) << label;
-        EXPECT_GT(spilled.stats.spill_bytes_written, 0u) << label;
-        EXPECT_EQ(spilled.stats.spill_bytes_read,
-                  spilled.stats.spill_bytes_written)
-            << label;
-        EXPECT_EQ(spilled.stats.spill_retries, 0u) << label;
-      }
+  JoinResult reference =
+      Join(Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kDisabled));
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  ASSERT_GT(reference.stats.results, 0u);
+  EXPECT_EQ(reference.stats.spill_partitions, 0u);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (uint32_t partitions : {1u, 3u, 8u}) {
+      JoinResult spilled = Join(Request(input, ExecutionMode::kSelfJoin,
+                                        SpillPolicy::kForced, threads,
+                                        partitions));
+      std::string label = "threads=" + std::to_string(threads) +
+                          " partitions=" + std::to_string(partitions);
+      ExpectSameOutput(spilled, reference, label);
+      EXPECT_EQ(spilled.stats.spill_partitions, partitions) << label;
+      EXPECT_GT(spilled.stats.spill_bytes_written, 0u) << label;
+      EXPECT_EQ(spilled.stats.spill_bytes_read,
+                spilled.stats.spill_bytes_written)
+          << label;
+      EXPECT_EQ(spilled.stats.spill_retries, 0u) << label;
     }
   }
   EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u) << "leaked spill dirs";
@@ -192,35 +189,15 @@ TEST_F(SpillJoinTest, AutoDegradesWhereDisabledTrips) {
   EXPECT_EQ(trip_guard.trip_reason(), TripReason::kMemory);
   EXPECT_TRUE(tripped.pairs.empty());
 
-  ExecutionGuard degrade_guard(budget);
-  JoinRequest auto_request =
-      Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kAuto);
-  auto_request.options.guard = &degrade_guard;
-  JoinResult degraded = Join(auto_request);
-  ExpectSameOutput(degraded, reference, "auto degrade (sorted)");
-  EXPECT_FALSE(degrade_guard.tripped());
-  EXPECT_GT(degraded.stats.spill_partitions, 0u);
-  EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u);
-}
-
-TEST_F(SpillJoinTest, AutoDegradesPipelinedDriver) {
-  SetCollection input = SparseWorkload();
-  JoinResult reference = Join(
-      Request(input, ExecutionMode::kPipelinedSelfJoin,
-              SpillPolicy::kDisabled));
-  ASSERT_TRUE(reference.status.ok());
-  ExecutionBudget budget;
-  budget.memory_budget_bytes = input.total_elements() * 7;
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    ExecutionGuard guard(budget);
-    JoinRequest request = Request(input, ExecutionMode::kPipelinedSelfJoin,
-                                  SpillPolicy::kAuto, threads);
-    request.options.guard = &guard;
-    JoinResult degraded = Join(request);
+    ExecutionGuard degrade_guard(budget);
+    JoinRequest auto_request = Request(input, ExecutionMode::kSelfJoin,
+                                       SpillPolicy::kAuto, threads);
+    auto_request.options.guard = &degrade_guard;
+    JoinResult degraded = Join(auto_request);
     ExpectSameOutput(degraded, reference,
-                     "auto degrade (pipelined) threads=" +
-                         std::to_string(threads));
-    EXPECT_FALSE(guard.tripped());
+                     "auto degrade threads=" + std::to_string(threads));
+    EXPECT_FALSE(degrade_guard.tripped());
     EXPECT_GT(degraded.stats.spill_partitions, 0u);
   }
   EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u);

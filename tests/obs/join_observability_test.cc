@@ -90,6 +90,9 @@ TEST(ObsDeterminismTest, SelfJoinExportIsThreadCountInvariant) {
   request.scheme = &*scheme;
   request.predicate = &predicate;
   request.mode = ExecutionMode::kSelfJoin;
+  // The in-memory skeleton first: pin the policy rather than inherit a
+  // CI-wide SSJOIN_SPILL=force.
+  request.options.spill.policy = SpillPolicy::kDisabled;
 
   std::string serial = DeterministicExport(request, 1);
   std::string parallel = DeterministicExport(request, 4);
@@ -102,6 +105,13 @@ TEST(ObsDeterminismTest, SelfJoinExportIsThreadCountInvariant) {
   // No wall-clock leakage into the deterministic stream.
   EXPECT_EQ(serial.find("seconds"), std::string::npos);
   EXPECT_EQ(serial.find("_us"), std::string::npos);
+
+  // The forced-spill export must be thread-count invariant too.
+  request.options.spill.policy = SpillPolicy::kForced;
+  std::string spilled = DeterministicExport(request, 1);
+  EXPECT_EQ(spilled, DeterministicExport(request, 4));
+  EXPECT_NE(spilled.find("\"spill\":\"forced\""), std::string::npos);
+  ExpectOperatorSpans(spilled, {"spill_partition", "verify", "dedup_emit"});
 }
 
 TEST(ObsDeterminismTest, BinaryJoinExportIsThreadCountInvariant) {
@@ -124,36 +134,6 @@ TEST(ObsDeterminismTest, BinaryJoinExportIsThreadCountInvariant) {
   EXPECT_NE(serial.find("input_sets_r"), std::string::npos);
 }
 
-TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
-  SetCollection input = Workload(350, 54);
-  auto scheme = MakeScheme(input, 0.85);
-  ASSERT_TRUE(scheme.ok());
-  JaccardPredicate predicate(0.85);
-
-  JoinRequest request;
-  request.left = &input;
-  request.scheme = &*scheme;
-  request.predicate = &predicate;
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
-
-  // The PipelinedScan loop is the same at every thread count, and so is
-  // the chain — and with it the stable operator skeleton. The
-  // pipelined_scan source is a property of the in-memory path (the
-  // spilled rerun's source is spill_partition), so pin the policy rather
-  // than inherit a CI-wide SSJOIN_SPILL=force.
-  request.options.spill.policy = SpillPolicy::kDisabled;
-  std::string serial = DeterministicExport(request, 1);
-  EXPECT_EQ(serial, DeterministicExport(request, 4));
-  EXPECT_NE(serial.find("\"mode\":\"pipelined_self\""), std::string::npos);
-  ExpectOperatorSpans(serial, {"pipelined_scan", "verify", "dedup_emit"});
-
-  // The forced-spill export must be thread-count invariant too.
-  request.options.spill.policy = SpillPolicy::kForced;
-  std::string spilled = DeterministicExport(request, 1);
-  EXPECT_EQ(spilled, DeterministicExport(request, 4));
-  EXPECT_NE(spilled.find("\"mode\":\"pipelined_self\""), std::string::npos);
-}
-
 // Operator spans need only a tracer: a join without a MetricsRegistry
 // records the same stable skeleton, identical at every thread count.
 TEST(ObsDeterminismTest, TracerOnlyJoinEmitsOperatorSkeleton) {
@@ -168,10 +148,6 @@ TEST(ObsDeterminismTest, TracerOnlyJoinEmitsOperatorSkeleton) {
   EXPECT_EQ(serial, DeterministicExport(request, 4, /*metrics=*/false));
   ExpectOperatorSpans(serial, {"siggen", "candgen", "verify",
                                "dedup_emit"});
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
-  serial = DeterministicExport(request, 1, /*metrics=*/false);
-  EXPECT_EQ(serial, DeterministicExport(request, 4, /*metrics=*/false));
-  ExpectOperatorSpans(serial, {"pipelined_scan", "verify", "dedup_emit"});
 }
 
 // The auto-spill degrade: the in-memory chain abandons its tables under
@@ -194,23 +170,18 @@ TEST(ObsDeterminismTest, AutoSpillDegradeExportIsThreadCountInvariant) {
   ExecutionBudget budget;
   budget.memory_budget_bytes = input.total_elements() * 7;
 
-  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
-    std::string exports[2];
-    size_t threads[2] = {1, 4};
-    for (int i = 0; i < 2; ++i) {
-      ExecutionGuard guard(budget);
-      JoinRequest request = SelfJoinRequest(input, scheme, predicate);
-      request.mode = mode;
-      request.options.guard = &guard;
-      request.options.spill.policy = SpillPolicy::kAuto;
-      exports[i] = DeterministicExport(request, threads[i]);
-      EXPECT_FALSE(guard.tripped()) << ExecutionModeName(mode);
-    }
-    EXPECT_EQ(exports[0], exports[1]) << ExecutionModeName(mode);
-    EXPECT_NE(exports[0].find("\"spill\":\"auto\""), std::string::npos)
-        << ExecutionModeName(mode);
+  std::string exports[2];
+  size_t threads[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    ExecutionGuard guard(budget);
+    JoinRequest request = SelfJoinRequest(input, scheme, predicate);
+    request.options.guard = &guard;
+    request.options.spill.policy = SpillPolicy::kAuto;
+    exports[i] = DeterministicExport(request, threads[i]);
+    EXPECT_FALSE(guard.tripped()) << "threads=" << threads[i];
   }
+  EXPECT_EQ(exports[0], exports[1]);
+  EXPECT_NE(exports[0].find("\"spill\":\"auto\""), std::string::npos);
 }
 
 TEST(ObsDeterminismTest, GuardTripSurfacesEverywhere) {
@@ -288,19 +259,6 @@ TEST(JoinFacadeTest, BuildersMatchExplicitRequests) {
     EXPECT_EQ(facade.pairs, legacy.pairs);
     EXPECT_EQ(facade.stats.results, legacy.stats.results);
   }
-  {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = &*scheme;
-    request.predicate = &predicate;
-    request.mode = ExecutionMode::kPipelinedSelfJoin;
-    JoinResult facade = Join(request);
-    JoinRequest built = SelfJoinRequest(input, *scheme, predicate);
-    built.mode = ExecutionMode::kPipelinedSelfJoin;
-    JoinResult legacy = Join(built);
-    EXPECT_EQ(facade.pairs, legacy.pairs);
-    EXPECT_EQ(facade.stats.results, legacy.stats.results);
-  }
 }
 
 TEST(JoinFacadeTest, RejectsMalformedRequests) {
@@ -351,8 +309,6 @@ TEST(JoinFacadeTest, RejectsMalformedRequests) {
 TEST(JoinFacadeTest, ExecutionModeNames) {
   EXPECT_EQ(ExecutionModeName(ExecutionMode::kSelfJoin), "self");
   EXPECT_EQ(ExecutionModeName(ExecutionMode::kBinaryJoin), "binary");
-  EXPECT_EQ(ExecutionModeName(ExecutionMode::kPipelinedSelfJoin),
-            "pipelined_self");
 }
 
 // Regression: JoinOptions::verify was documented but never read. With
@@ -369,26 +325,19 @@ TEST(JoinVerifyOptionTest, VerifyFalseSkipsPostFilter) {
   ASSERT_GT(full.stats.candidates, 0u);
   ASSERT_GT(full.stats.results, 0u);
 
-  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = &*scheme;
-    request.predicate = &predicate;
-    request.mode = mode;
-    request.options.verify = false;
-    JoinResult result = Join(request);
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    EXPECT_TRUE(result.pairs.empty()) << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.results, 0u) << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.false_positives, 0u) << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.postfilter_seconds, 0.0)
-        << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.candidates, full.stats.candidates)
-        << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.signatures_r, full.stats.signatures_r)
-        << ExecutionModeName(mode);
-  }
+  JoinRequest serial;
+  serial.left = &input;
+  serial.scheme = &*scheme;
+  serial.predicate = &predicate;
+  serial.options.verify = false;
+  JoinResult result = Join(serial);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_TRUE(result.pairs.empty());
+  EXPECT_EQ(result.stats.results, 0u);
+  EXPECT_EQ(result.stats.false_positives, 0u);
+  EXPECT_EQ(result.stats.postfilter_seconds, 0.0);
+  EXPECT_EQ(result.stats.candidates, full.stats.candidates);
+  EXPECT_EQ(result.stats.signatures_r, full.stats.signatures_r);
 
   // Parallel verify=false must agree with serial verify=false.
   JoinRequest request;

@@ -103,31 +103,27 @@ class PipelineMetricsTest : public ::testing::Test {
 };
 
 TEST_F(PipelineMetricsTest, RowCountersExactlyEqualAcrossThreadCounts) {
-  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
-    PipelineCounters serial = RunAndCollect(
-        input_, *scheme_, predicate_, mode, 1, SpillPolicy::kDisabled);
-    ASSERT_FALSE(serial.stable_rows.empty()) << ExecutionModeName(mode);
-    for (size_t threads : {2u, 4u}) {
-      PipelineCounters parallel = RunAndCollect(
-          input_, *scheme_, predicate_, mode, threads,
-          SpillPolicy::kDisabled);
-      EXPECT_EQ(serial.stable_rows, parallel.stable_rows)
-          << ExecutionModeName(mode) << " threads=" << threads;
-      EXPECT_EQ(serial.results, parallel.results);
-    }
+  PipelineCounters serial =
+      RunAndCollect(input_, *scheme_, predicate_, ExecutionMode::kSelfJoin, 1,
+                    SpillPolicy::kDisabled);
+  ASSERT_FALSE(serial.stable_rows.empty());
+  for (size_t threads : {2u, 4u}) {
+    PipelineCounters parallel =
+        RunAndCollect(input_, *scheme_, predicate_, ExecutionMode::kSelfJoin,
+                      threads, SpillPolicy::kDisabled);
+    EXPECT_EQ(serial.stable_rows, parallel.stable_rows)
+        << "threads=" << threads;
+    EXPECT_EQ(serial.results, parallel.results);
   }
 }
 
 TEST_F(PipelineMetricsTest, RowCountersExactlyEqualUnderForcedSpill) {
   PipelineCounters serial =
-      RunAndCollect(input_, *scheme_, predicate_,
-                    ExecutionMode::kPipelinedSelfJoin, 1,
+      RunAndCollect(input_, *scheme_, predicate_, ExecutionMode::kSelfJoin, 1,
                     SpillPolicy::kForced);
   ASSERT_FALSE(serial.stable_rows.empty());
   PipelineCounters parallel =
-      RunAndCollect(input_, *scheme_, predicate_,
-                    ExecutionMode::kPipelinedSelfJoin, 4,
+      RunAndCollect(input_, *scheme_, predicate_, ExecutionMode::kSelfJoin, 4,
                     SpillPolicy::kForced);
   EXPECT_EQ(serial.stable_rows, parallel.stable_rows);
   EXPECT_EQ(serial.results, parallel.results);
@@ -159,9 +155,8 @@ TEST_F(PipelineMetricsTest, CountersTieOutToJoinStats) {
 // One timing vocabulary: the JoinStats phase seconds are the operator
 // self-times summed by paper phase, from the same nanoseconds the
 // pipeline.<op>.ns counters publish. SigGen is siggen; CandPair is the
-// candidate source (candgen, or the fused pipelined_scan /
-// spill_partition, each running the bitmap test); PostFilter is verify +
-// dedup_emit.
+// candidate source (candgen, or the fused spill_partition, each running
+// the bitmap test); PostFilter is verify + dedup_emit.
 // Without verification dedup_emit only drains the source: it counts
 // under CandPair and postfilter_seconds stays 0.
 TEST_F(PipelineMetricsTest, PhaseSecondsTieOutToOperatorSelfTimes) {
@@ -171,8 +166,6 @@ TEST_F(PipelineMetricsTest, PhaseSecondsTieOutToOperatorSelfTimes) {
     bool verify;
   };
   for (Chain c : {Chain{ExecutionMode::kSelfJoin, SpillPolicy::kDisabled, true},
-                  Chain{ExecutionMode::kPipelinedSelfJoin,
-                        SpillPolicy::kDisabled, true},
                   Chain{ExecutionMode::kSelfJoin, SpillPolicy::kForced, true},
                   Chain{ExecutionMode::kSelfJoin, SpillPolicy::kDisabled,
                         false}}) {
@@ -188,8 +181,7 @@ TEST_F(PipelineMetricsTest, PhaseSecondsTieOutToOperatorSelfTimes) {
       };
       EXPECT_DOUBLE_EQ(p.stats.siggen_seconds, s("siggen"));
       EXPECT_DOUBLE_EQ(p.stats.candpair_seconds,
-                       s("candgen") + s("pipelined_scan") +
-                           s("spill_partition") +
+                       s("candgen") + s("spill_partition") +
                            (c.verify ? 0.0 : s("dedup_emit")));
       EXPECT_DOUBLE_EQ(p.stats.postfilter_seconds,
                        c.verify ? s("verify") + s("dedup_emit") : 0.0);
@@ -205,6 +197,9 @@ TEST_F(PipelineMetricsTest, RuntimeCountersStayOutOfStableExport) {
   request.scheme = &*scheme_;
   request.predicate = &predicate_;
   request.options.metrics = &metrics;
+  // The siggen operator exists only in memory; pin the policy rather
+  // than inherit a CI-wide SSJOIN_SPILL=force.
+  request.options.spill.policy = SpillPolicy::kDisabled;
   JoinResult result = Join(request);
   ASSERT_TRUE(result.status.ok());
   std::string stable = MetricsJsonl(metrics);
@@ -219,7 +214,8 @@ TEST_F(PipelineMetricsTest, RuntimeCountersStayOutOfStableExport) {
 // chunks, of which the bitmap test leaves only the planted
 // near-duplicates. A 4-thread join then forks only for siggen, the
 // signature grouping, the bitmap table and the probe — four fork-joins,
-// not one more per chunk — and returns the 1-thread pairs.
+// not one more per chunk — and returns the 1-thread pairs. A 1-thread
+// pool runs every job inline and counts no fork-join at all.
 TEST(VerifyForkJoinTest, SparseChunksAreEvaluatedInline) {
   SetCollectionBuilder builder;
   ElementId next = 1;
@@ -245,6 +241,9 @@ TEST(VerifyForkJoinTest, SparseChunksAreEvaluatedInline) {
     JoinOptions options;
     options.num_threads = threads;
     options.metrics = &metrics;
+    // The fork-join count is the in-memory chain's; a CI-wide
+    // SSJOIN_SPILL=force must not reroute the run.
+    options.spill.policy = SpillPolicy::kDisabled;
     Run out{Join(SelfJoinRequest(input, scheme, predicate, options)), {}};
     EXPECT_TRUE(out.result.status.ok()) << out.result.status.ToString();
     for (const MetricRecord& record : metrics.Snapshot()) {
@@ -261,6 +260,7 @@ TEST(VerifyForkJoinTest, SparseChunksAreEvaluatedInline) {
   EXPECT_EQ(parallel.result.stats.results, 12u);
   EXPECT_LT(parallel.counters["pipeline.verify.rows_in"], 100u);
   EXPECT_EQ(parallel.counters["threadpool.forkjoins"], 4u);
+  EXPECT_EQ(serial.counters["threadpool.forkjoins"], 0u);
   EXPECT_EQ(parallel.result.pairs, serial.result.pairs);
   EXPECT_EQ(parallel.result.stats.candidates, serial.result.stats.candidates);
   EXPECT_EQ(parallel.result.stats.bitmap_filter_pruned,

@@ -1,7 +1,7 @@
 // Pipeline-vs-seed differential suite (ctest label `pipeline`).
 //
 // The operator-pipeline refactor (DESIGN.md Section 13) re-expresses the
-// three drivers as operator chains under the hard constraint that pairs,
+// join drivers as operator chains under the hard constraint that pairs,
 // legacy JoinStats, and partial-trip accounting stay byte-identical at
 // any thread count, spill mode, and bitmap width. This suite is the
 // referee: every (execution mode × threads × spill × bitmap) cell is
@@ -118,8 +118,7 @@ std::string Fingerprint(const JoinResult& result) {
 std::vector<Cell> Grid() {
   std::vector<Cell> cells;
   for (ExecutionMode mode :
-       {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin,
-        ExecutionMode::kPipelinedSelfJoin}) {
+       {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       for (bool force_spill : {false, true}) {
         for (uint32_t bitmap_bits : {uint32_t{0}, uint32_t{128}}) {
@@ -227,8 +226,7 @@ TEST_F(PipelineDifferentialTest, MatchesPreRefactorGoldens) {
 // into pairs or stats.
 TEST_F(PipelineDifferentialTest, UntrippedGuardIsByteIdentical) {
   for (ExecutionMode mode :
-       {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin,
-        ExecutionMode::kPipelinedSelfJoin}) {
+       {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       Cell cell{mode, threads, /*force_spill=*/false, /*bitmap_bits=*/128};
       JoinResult unguarded = RunCell(cell, nullptr);
@@ -251,8 +249,7 @@ TEST_F(PipelineDifferentialTest, UntrippedGuardIsByteIdentical) {
 // goldens): t1 and t4 cells must agree cell for cell.
 TEST_F(PipelineDifferentialTest, ThreadCountInvariantPerCell) {
   for (ExecutionMode mode :
-       {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin,
-        ExecutionMode::kPipelinedSelfJoin}) {
+       {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin}) {
     for (bool force_spill : {false, true}) {
       Cell serial{mode, 1, force_spill, 128};
       Cell parallel{mode, 4, force_spill, 128};
