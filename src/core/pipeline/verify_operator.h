@@ -4,10 +4,12 @@
 // CheckBreaker(chunk start, results so far), THEN commit the chunk's
 // bitmap tallies, which the source filled when it ran the bitmap test
 // (a trip at the barrier must leave stats exactly as the legacy loop
-// did), then the parallel evaluate inside a "verify_chunk" runtime
-// sample, then ChargeMemory for the appended pairs. The end batch runs
-// the final breaker over the complete pre-filter totals (with a leading
-// checkpoint when the stream was empty — the legacy pre-loop
+// did), then the evaluate, then ChargeMemory for the appended pairs.
+// Every chunk, guarded or not, is evaluated with Predicate::EvaluatePair
+// inside a "verify_chunk" runtime sample, which with no tracer or
+// registry attached opens nothing and reads no clock. The end batch
+// runs the final breaker over the complete pre-filter totals (with a
+// leading checkpoint when the stream was empty — the legacy pre-loop
 // checkpoint). The operator's self-time counts under PostFilter.
 //
 // A chunk holds only the pairs that passed the source's bitmap test,

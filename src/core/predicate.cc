@@ -34,6 +34,11 @@ bool Predicate::Evaluate(std::span<const ElementId> r,
                  static_cast<uint32_t>(s.size()), overlap);
 }
 
+bool Predicate::EvaluatePair(const SetCollection& r, SetId a,
+                             const SetCollection& s, SetId b) const {
+  return Evaluate(r.set(a), s.set(b));
+}
+
 std::optional<SizeRange> Predicate::JoinableSizes(uint32_t size_r,
                                                   uint32_t max_size) const {
   // Generic derivation: size |s| is joinable iff some intersection value

@@ -62,6 +62,14 @@ class Predicate {
   virtual bool Evaluate(std::span<const ElementId> r,
                         std::span<const ElementId> s) const;
 
+  /// Evaluates the predicate on set `a` of `r` and set `b` of `s` — the
+  /// call Verify makes per candidate. The default is
+  /// Evaluate(r.set(a), s.set(b)); a predicate over records the sets
+  /// only stand in for (the string join's edit-distance check,
+  /// core/string_join.cc) overrides it to look the records up by id.
+  virtual bool EvaluatePair(const SetCollection& r, SetId a,
+                            const SetCollection& s, SetId b) const;
+
   /// Section 6 hook 1: sizes |s| that can possibly join with a set of size
   /// `size_r`, capped to [0, max_size]. Returns nullopt when no size in the
   /// cap is joinable. Derived from MinOverlap feasibility; concrete

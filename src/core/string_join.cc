@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "baselines/prefix_filter.h"
-#include "core/driver_internal.h"
 #include "core/predicate.h"
 #include "core/signature_scheme.h"
 #include "core/types.h"
-#include "obs/join_telemetry.h"
 #include "text/edit_distance.h"
 #include "text/qgram.h"
-#include "util/thread_pool.h"
 
 namespace ssjoin {
 
@@ -54,90 +52,75 @@ Result<std::unique_ptr<SignatureScheme>> MakeScheme(
   return Status::InvalidArgument("unknown string-join algorithm");
 }
 
-// The Figure 2 phases over q-gram bags, shared by both entry points:
+// The string join's predicate: hamming <= 2qk over the q-gram bags for
+// everything that sees only the bags (the bitmap pre-filter and the
+// prefix-filter scheme), and the exact edit distance on the strings
+// themselves for the pairs Verify evaluates. The bag bound is a
+// complete filter for the edit bound (string_join.h), so the bitmap
+// never drops a pair the edit check would keep.
+class EditDistancePredicate final : public Predicate {
+ public:
+  EditDistancePredicate(uint32_t q, uint32_t k,
+                        const std::vector<std::string>& r_strings,
+                        const std::vector<std::string>& s_strings)
+      : bags_(QgramHammingThreshold(q, k)),
+        k_(k),
+        r_strings_(r_strings),
+        s_strings_(s_strings) {}
+
+  std::string Name() const override { return bags_.Name(); }
+  double MinOverlap(uint32_t size_r, uint32_t size_s) const override {
+    return bags_.MinOverlap(size_r, size_s);
+  }
+  bool Matches(uint32_t size_r, uint32_t size_s,
+               uint32_t overlap) const override {
+    return bags_.Matches(size_r, size_s, overlap);
+  }
+  std::optional<SizeRange> JoinableSizes(uint32_t size_r,
+                                         uint32_t max_size) const override {
+    return bags_.JoinableSizes(size_r, max_size);
+  }
+  bool EvaluatePair(const SetCollection& /*r*/, SetId a,
+                    const SetCollection& /*s*/, SetId b) const override {
+    return WithinEditDistance(r_strings_[a], s_strings_[b], k_);
+  }
+
+ private:
+  HammingPredicate bags_;
+  uint32_t k_;
+  const std::vector<std::string>& r_strings_;
+  const std::vector<std::string>& s_strings_;
+};
+
+// A q-gram join is a set join over the bags: both entry points build
+// them and run Join() with the edit-distance predicate above.
 // `s_strings == nullptr` selects the self-join.
-Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
-                                 const std::vector<std::string>* s_strings,
-                                 const StringJoinOptions& options) {
+Result<JoinResult> QgramJoin(const std::vector<std::string>& r_strings,
+                             const std::vector<std::string>* s_strings,
+                             const StringJoinOptions& options) {
   if (options.q == 0) {
     return Status::InvalidArgument("StringJoin: q must be >= 1");
   }
   const bool self = s_strings == nullptr;
-  const std::vector<std::string>& s_side = self ? r_strings : *s_strings;
-  JoinResult result;
-  JoinStats& stats = result.stats;
-  obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
-  if (self) {
-    telem.Attr("mode", "string_self");
-    telem.Attr("input_sets", static_cast<uint64_t>(r_strings.size()));
-  } else {
-    telem.Attr("mode", "string_binary");
-    telem.Attr("input_sets_r", static_cast<uint64_t>(r_strings.size()));
-    telem.Attr("input_sets_s", static_cast<uint64_t>(s_side.size()));
-  }
-  uint32_t hamming_k =
-      QgramHammingThreshold(options.q, options.edit_threshold);
-
-  // Phase 1 (Figure 16): grams + signatures, "on-the-fly, in
-  // application-level code". Gram extraction is part of SigGen.
-  std::vector<Posting> postings_r, postings_s;
-  {
-    auto scope = telem.Phase(obs::kPhaseSigGen, &stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    SetCollection r_bags = extractor.ExtractAllAsBags(r_strings);
-    SetCollection s_bags;
-    if (!self) s_bags = extractor.ExtractAllAsBags(s_side);
-    SSJOIN_ASSIGN_OR_RETURN(
-        std::unique_ptr<SignatureScheme> scheme,
-        MakeScheme(options, hamming_k, r_bags, self ? nullptr : &s_bags));
-    std::vector<Signature> sigs;
-    auto post = [&](const SetCollection& bags, std::vector<Posting>* out,
-                    uint64_t* count) {
-      for (SetId id = 0; id < bags.size(); ++id) {
-        detail::GenerateSorted(*scheme, bags.set(id), &sigs);
-        *count += sigs.size();
-        for (Signature sig : sigs) out->emplace_back(sig, id);
-      }
-    };
-    post(r_bags, &postings_r, &stats.signatures_r);
-    if (self) {
-      stats.signatures_s = stats.signatures_r;
-    } else {
-      post(s_bags, &postings_s, &stats.signatures_s);
-    }
-  }
-
-  // The one candidate generator, on one thread and with no bitmap test:
-  // every candidate is kept, sorted.
-  detail::ProbedCandidates candidates;
-  {
-    auto scope = telem.Phase(obs::kPhaseCandPair, &stats.candpair_seconds);
-    ThreadPool pool(1);
-    candidates = detail::ProbeAll(
-        detail::BuildProbeIndex(&postings_r, r_strings.size(),
-                                self ? nullptr : &postings_s, s_side.size(),
-                                pool),
-        /*keep=*/true, detail::PairBitmap(), pool, {}, &telem);
-    stats.signature_collisions = candidates.collisions;
-    stats.candidates = candidates.total();
-  }
-
-  {
-    auto scope =
-        telem.Phase(obs::kPhasePostFilter, &stats.postfilter_seconds);
-    for (uint64_t packed : candidates.kept) {
-      auto [a, b] = UnpackPair(packed);
-      if (WithinEditDistance(r_strings[a], s_side[b],
-                             options.edit_threshold)) {
-        result.pairs.emplace_back(a, b);
-        ++stats.results;
-      } else {
-        ++stats.false_positives;
-      }
-    }
-  }
-
-  telem.Attr("results", stats.results);
+  QgramExtractor extractor(QgramOptions{.q = options.q});
+  SetCollection r_bags = extractor.ExtractAllAsBags(r_strings);
+  SetCollection s_bags;
+  if (!self) s_bags = extractor.ExtractAllAsBags(*s_strings);
+  SSJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<SignatureScheme> scheme,
+      MakeScheme(options,
+                 QgramHammingThreshold(options.q, options.edit_threshold),
+                 r_bags, self ? nullptr : &s_bags));
+  EditDistancePredicate predicate(options.q, options.edit_threshold,
+                                  r_strings, self ? r_strings : *s_strings);
+  JoinOptions join_options;
+  join_options.tracer = options.tracer;
+  join_options.metrics = options.metrics;
+  JoinResult result =
+      self ? Join(SelfJoinRequest(r_bags, *scheme, predicate, join_options))
+           : Join(BinaryJoinRequest(r_bags, s_bags, *scheme, predicate,
+                                    join_options));
+  if (!result.status.ok()) return result.status;
   return result;
 }
 
@@ -148,14 +131,14 @@ uint32_t QgramHammingThreshold(uint32_t q, uint32_t k) { return 2 * q * k; }
 Result<JoinResult> StringSimilaritySelfJoin(
     const std::vector<std::string>& strings,
     const StringJoinOptions& options) {
-  return RunStringJoin(strings, /*s_strings=*/nullptr, options);
+  return QgramJoin(strings, /*s_strings=*/nullptr, options);
 }
 
 Result<JoinResult> StringSimilarityJoin(
     const std::vector<std::string>& r_strings,
     const std::vector<std::string>& s_strings,
     const StringJoinOptions& options) {
-  return RunStringJoin(r_strings, &s_strings, options);
+  return QgramJoin(r_strings, &s_strings, options);
 }
 
 }  // namespace ssjoin

@@ -3,10 +3,13 @@
 // If EditDistance(s1, s2) <= k, every edit operation perturbs at most q
 // q-grams on each side, so the q-gram *bags* of s1 and s2 have hamming
 // distance <= 2qk. A hamming SSJoin over the q-gram bags with threshold
-// 2qk is therefore a complete filter; surviving candidates are verified
-// with the exact banded edit distance ("in application code", Figure 16 —
-// the SSJoin-level hamming post-filter is skipped, exactly as the paper
-// found it not to pay off).
+// 2qk is therefore a complete filter. Both entry points run Join() over
+// the bags: the XOR bitmap pre-filter tests the bag-hamming bound (it is
+// exact, so it only drops pairs the edit check would reject), and Verify
+// checks the exact banded edit distance of the strings themselves. The
+// SSJoin-level hamming post-filter is skipped, as the paper found it not
+// to pay off (Figure 16). Threads default to 1, and the spill policy
+// follows the SSJOIN_SPILL environment variable (core/ssjoin.h).
 //
 // Note on the bound: the paper states the bound as "<= nk", but its own
 // Example 1 (washington/woshington: one substitution, 3-gram hamming

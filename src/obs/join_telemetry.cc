@@ -18,30 +18,9 @@ JoinTelemetry::~JoinTelemetry() {
   if (tracer_ != nullptr && root_ != kNoSpan) tracer_->EndSpan(root_);
 }
 
-JoinTelemetry::PhaseScope::~PhaseScope() {
-  *seconds_ += watch_.ElapsedSeconds();
-  if (span_ != kNoSpan) telemetry_->tracer_->EndSpan(span_);
-}
-
-JoinTelemetry::PhaseScope JoinTelemetry::Phase(std::string_view name,
-                                               double* seconds) {
-  SpanId span = kNoSpan;
-  if (tracer_ != nullptr) {
-    span = tracer_->StartSpan(name, root_, Stability::kStable);
-    phase_span_ = span;
-  }
-  return PhaseScope(this, seconds, span);
-}
-
-void JoinTelemetry::PhaseAttr(std::string_view key, uint64_t value) {
-  if (tracer_ != nullptr && phase_span_ != kNoSpan) {
-    tracer_->SetAttr(phase_span_, key, value);
-  }
-}
-
 JoinTelemetry::SampleScope::~SampleScope() {
   if (latency_ != nullptr) {
-    latency_->Record(static_cast<uint64_t>(watch_.ElapsedMicros()));
+    latency_->Record(static_cast<uint64_t>(watch_->ElapsedMicros()));
   }
   if (span_ != kNoSpan) telemetry_->tracer_->EndSpan(span_);
 }
@@ -51,8 +30,7 @@ JoinTelemetry::SampleScope JoinTelemetry::Sample(std::string_view name,
                                                  uint32_t lane) {
   SpanId span = kNoSpan;
   if (tracer_ != nullptr) {
-    SpanId parent = phase_span_ != kNoSpan ? phase_span_ : root_;
-    span = tracer_->StartSpan(name, parent, Stability::kRuntime, lane);
+    span = tracer_->StartSpan(name, root_, Stability::kRuntime, lane);
   }
   return SampleScope(this, latency, span);
 }

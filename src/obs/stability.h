@@ -44,13 +44,10 @@ enum class Stability {
 // these constants.
 namespace names {
 
-// Span names. The Figure 2 phase spans belong to the drivers that are
-// not operator chains (core/string_join, relational/sql_ssjoin); a
-// Join() run's spans are its operators, named by their kOp* tags below.
+// Span names. Below its "join" root a Join() run's spans are its
+// operators, named by their kOp* tags below; a DBMS plan has only the
+// root.
 inline constexpr std::string_view kSpanJoin = "join";
-inline constexpr std::string_view kSpanSigGen = "SigGen";
-inline constexpr std::string_view kSpanCandPair = "CandPair";
-inline constexpr std::string_view kSpanPostFilter = "PostFilter";
 inline constexpr std::string_view kSpanShard = "shard";
 inline constexpr std::string_view kSpanVerifyChunk = "verify_chunk";
 

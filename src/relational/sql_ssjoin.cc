@@ -181,29 +181,24 @@ Result<DbmsJoinResult> DbmsSelfJoin(const SetCollection& input,
     set_index.emplace(std::move(built).value());
   }
 
-  Table signature, cand;
-  {
-    auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
-    signature = BuildSignatureTable(input, scheme, &result.stats);
-  }
+  // Each phase is timed into JoinStats by the Stopwatch that also times
+  // the PlanExplain ops; its row count goes to dbms.rows.*.
+  Stopwatch phase_watch;
+  Table signature = BuildSignatureTable(input, scheme, &result.stats);
+  result.stats.siggen_seconds = phase_watch.ElapsedSeconds();
   result.explain.AddOp(
       "SigGen", "Signature(id, sign) via application signature generation",
       input.size(), signature.num_rows(), result.stats.siggen_seconds);
-  telem.PhaseAttr("rows", signature.num_rows());
   telem.AddCount("dbms.rows.signature", signature.num_rows());
   if (guard != nullptr) {
     // Plan-step barrier: the Signature relation is materialized.
     guard->ChargeMemory(TableRowBytes(signature));
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
-  {
-    auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
-    SSJOIN_ASSIGN_OR_RETURN(
-        cand, BuildCandPair(signature, &result.stats, &result.explain));
-  }
-  telem.PhaseAttr("rows", cand.num_rows());
+  phase_watch.Restart();
+  SSJOIN_ASSIGN_OR_RETURN(
+      Table cand, BuildCandPair(signature, &result.stats, &result.explain));
+  result.stats.candpair_seconds = phase_watch.ElapsedSeconds();
   telem.AddCount("dbms.rows.candpair", cand.num_rows());
   if (guard != nullptr) {
     // Plan-step barrier: CandPair is materialized; the breaker can
@@ -215,9 +210,8 @@ Result<DbmsJoinResult> DbmsSelfJoin(const SetCollection& input,
 
   Table output(Schema{{"id1", ValueType::kInt64},
                       {"id2", ValueType::kInt64}});
+  phase_watch.Restart();
   {
-    auto scope = telem.Phase(obs::kPhasePostFilter,
-                             &result.stats.postfilter_seconds);
     // CandPairIntersect(id1, id2, isize):
     //   Select C.id1, C.id2, Count(*) From CandPair C, Set S1, Set S2
     //   Where C.id1 = S1.id and C.id2 = S2.id and S1.elem = S2.elem
@@ -291,7 +285,7 @@ Result<DbmsJoinResult> DbmsSelfJoin(const SetCollection& input,
         with_len2.num_rows(), output.num_rows(),
         op_watch.ElapsedSeconds());
   }
-  telem.PhaseAttr("rows", output.num_rows());
+  result.stats.postfilter_seconds = phase_watch.ElapsedSeconds();
   telem.AddCount("dbms.rows.output", output.num_rows());
   telem.Attr("results", result.stats.results);
   if (guard != nullptr) {
@@ -323,10 +317,10 @@ Result<DbmsJoinResult> DbmsStringEditSelfJoin(
   // String(id, str) is the base relation; n-gram bags are generated
   // on-the-fly in application code during signature generation
   // (Figure 16: "we do not explicitly materialize the n-gram bags").
-  Table signature, cand;
+  // Phases are timed as in DbmsSelfJoin.
+  Stopwatch phase_watch;
+  Table signature;
   {
-    auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
     QgramExtractor extractor(QgramOptions{.q = q});
     SetCollectionBuilder builder;
     for (const std::string& s : strings) {
@@ -335,24 +329,21 @@ Result<DbmsJoinResult> DbmsStringEditSelfJoin(
     SetCollection bags = builder.Build();
     signature = BuildSignatureTable(bags, scheme, &result.stats);
   }
+  result.stats.siggen_seconds = phase_watch.ElapsedSeconds();
   result.explain.AddOp(
       "SigGen",
       "Signature(id, sign) via q-gram bags + application signature "
       "generation",
       strings.size(), signature.num_rows(), result.stats.siggen_seconds);
-  telem.PhaseAttr("rows", signature.num_rows());
   telem.AddCount("dbms.rows.signature", signature.num_rows());
   if (guard != nullptr) {
     guard->ChargeMemory(TableRowBytes(signature));
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
-  {
-    auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
-    SSJOIN_ASSIGN_OR_RETURN(
-        cand, BuildCandPair(signature, &result.stats, &result.explain));
-  }
-  telem.PhaseAttr("rows", cand.num_rows());
+  phase_watch.Restart();
+  SSJOIN_ASSIGN_OR_RETURN(
+      Table cand, BuildCandPair(signature, &result.stats, &result.explain));
+  result.stats.candpair_seconds = phase_watch.ElapsedSeconds();
   telem.AddCount("dbms.rows.candpair", cand.num_rows());
   if (guard != nullptr) {
     guard->ChargeMemory(TableRowBytes(cand));
@@ -361,30 +352,27 @@ Result<DbmsJoinResult> DbmsStringEditSelfJoin(
 
   Table output(Schema{{"id1", ValueType::kInt64},
                       {"id2", ValueType::kInt64}});
-  {
-    // Output: retrieve strings by id and check EDIT(s1, s2) <= k in
-    // application code (Figure 17). No SSJoin-level hamming post-filter,
-    // as the paper found it not to improve overall performance.
-    auto scope = telem.Phase(obs::kPhasePostFilter,
-                             &result.stats.postfilter_seconds);
-    for (size_t i = 0; i < cand.num_rows(); ++i) {
-      int64_t a = GetInt64(cand.row(i), 0);
-      int64_t b = GetInt64(cand.row(i), 1);
-      if (WithinEditDistance(strings[static_cast<size_t>(a)],
-                             strings[static_cast<size_t>(b)],
-                             edit_threshold)) {
-        output.AppendUnchecked(Row{a, b});
-        ++result.stats.results;
-      } else {
-        ++result.stats.false_positives;
-      }
+  // Output: retrieve strings by id and check EDIT(s1, s2) <= k in
+  // application code (Figure 17). No SSJoin-level hamming post-filter,
+  // as the paper found it not to improve overall performance.
+  phase_watch.Restart();
+  for (size_t i = 0; i < cand.num_rows(); ++i) {
+    int64_t a = GetInt64(cand.row(i), 0);
+    int64_t b = GetInt64(cand.row(i), 1);
+    if (WithinEditDistance(strings[static_cast<size_t>(a)],
+                           strings[static_cast<size_t>(b)],
+                           edit_threshold)) {
+      output.AppendUnchecked(Row{a, b});
+      ++result.stats.results;
+    } else {
+      ++result.stats.false_positives;
     }
   }
+  result.stats.postfilter_seconds = phase_watch.ElapsedSeconds();
   result.explain.AddOp(
       "Filter", "EDIT(s1, s2) <= k in application code AS Output(id1, id2)",
       cand.num_rows(), output.num_rows(),
       result.stats.postfilter_seconds);
-  telem.PhaseAttr("rows", output.num_rows());
   telem.AddCount("dbms.rows.output", output.num_rows());
   telem.Attr("results", result.stats.results);
   if (guard != nullptr) {

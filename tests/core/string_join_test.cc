@@ -130,6 +130,8 @@ TEST(StringJoinTest, StatsPhasesPopulated) {
   EXPECT_GT(result->stats.signatures_r, 0u);
   EXPECT_EQ(result->stats.results + result->stats.false_positives,
             result->stats.candidates);
+  // The bag-hamming bitmap pre-filter sees every candidate.
+  EXPECT_EQ(result->stats.bitmap_filter_checked, result->stats.candidates);
 }
 
 }  // namespace

@@ -352,7 +352,7 @@ TEST(JoinVerifyOptionTest, VerifyFalseSkipsPostFilter) {
   EXPECT_TRUE(parallel.pairs.empty());
 }
 
-TEST(ObsIntegrationTest, StringJoinEmitsPhaseSkeleton) {
+TEST(ObsIntegrationTest, StringJoinEmitsOperatorSkeleton) {
   std::vector<std::string> strings = {"washington", "woshington",
                                       "seattle", "seattlle", "portland"};
   obs::Tracer tracer;
@@ -363,10 +363,20 @@ TEST(ObsIntegrationTest, StringJoinEmitsPhaseSkeleton) {
   options.metrics = &metrics;
   auto result = StringSimilaritySelfJoin(strings, options);
   ASSERT_TRUE(result.ok());
+  // A string join is a Join() over q-gram bags: same root, same
+  // operator chain. StringJoinOptions has no spill knob, so a CI-wide
+  // SSJOIN_SPILL=force runs the spilled chain.
   std::string jsonl = obs::TraceJsonl(tracer);
-  EXPECT_NE(jsonl.find("\"mode\":\"string_self\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"name\":\"SigGen\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"name\":\"PostFilter\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"mode\":\"self\""), std::string::npos);
+  if (result->stats.spill_partitions > 0) {
+    ExpectOperatorSpans(jsonl, {"spill_partition", "verify", "dedup_emit"});
+  } else {
+    ExpectOperatorSpans(jsonl, {"siggen", "candgen", "verify",
+                                "dedup_emit"});
+  }
+  EXPECT_EQ(metrics.counter("join.candidates").value(),
+            result->stats.candidates);
+  EXPECT_GT(result->stats.candidates, 0u);
 }
 
 TEST(ObsIntegrationTest, DbmsPlanPublishesRowCounts) {

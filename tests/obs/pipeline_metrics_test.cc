@@ -208,6 +208,20 @@ TEST_F(PipelineMetricsTest, RuntimeCountersStayOutOfStableExport) {
   EXPECT_EQ(stable.find(".ns\""), std::string::npos);
 }
 
+// The verify-chunk latency histogram needs only a metrics sink: an
+// unguarded join records one sample per chunk Verify pulls.
+TEST_F(PipelineMetricsTest, VerifyChunkHistogramRecordedWithoutGuard) {
+  MetricsRegistry metrics;
+  JoinOptions options;
+  options.metrics = &metrics;
+  JoinResult result =
+      Join(SelfJoinRequest(input_, *scheme_, predicate_, options));
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  const uint64_t batches = metrics.counter("pipeline.verify.batches").value();
+  EXPECT_GT(batches, 0u);
+  EXPECT_EQ(metrics.histogram("join.verify.chunk_micros").count(), batches);
+}
+
 // Verify forks the pool only for a chunk that holds enough surviving
 // candidates to pay for it. A hub element shared by every set makes
 // every pair an identity-signature candidate: dozens of 16,384-candidate

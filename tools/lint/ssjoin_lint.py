@@ -22,8 +22,7 @@ Line rules (regexes over source lines with comments blanked):
   no-raw-timing        src/core must not time phases with raw PhaseTimer /
                        Stopwatch (util/timer.h) or <chrono> clock reads;
                        the clock stays in src/obs: operator timing goes
-                       through obs::OpInstrument (Operator::Pull), the
-                       other drivers' through JoinTelemetry::Phase.
+                       through obs::OpInstrument (Operator::Pull).
                        execution_guard.{h,cc} are exempt (deadline
                        enforcement needs a wall clock, not telemetry).
   no-unchecked-io      a bare-statement call to a C stdio / POSIX write
@@ -152,8 +151,8 @@ EXPECT_RE = re.compile(r"//\s*expect\(([a-z-]+)\)")
 # telemetry-registry: the registry file and the emission seams it guards.
 STABILITY_HEADER = "src/obs/stability.h"
 # Methods/functions whose first string-literal argument is a telemetry
-# name: JoinTelemetry (Phase/Sample/PhaseAttr/Attr/Event/AddCount/
-# SetGauge), Tracer (StartSpan/SetAttr/AddEvent), MetricsRegistry
+# name: JoinTelemetry (Sample/Attr/Event/AddCount/SetGauge), Tracer
+# (StartSpan/SetAttr/AddEvent), MetricsRegistry
 # (counter/gauge/histogram), the explain seams (SetParam/Predict/
 # Actual + their null-safe Record* wrappers), and the structured-log
 # seams (Logger::Log / the null-safe LogEvent wrapper, whose event name
@@ -161,8 +160,8 @@ STABILITY_HEADER = "src/obs/stability.h"
 # names:: constant (or any non-literal) are skipped — they are registered
 # by construction.
 TELEMETRY_CALL_RE = re.compile(
-    r"(?<![\w:])(?:StartSpan|PhaseAttr|AddCount|SetGauge|SetAttr|AddEvent|"
-    r"Attr|LogEvent|Log|Event|Sample|Phase|counter|gauge|histogram|"
+    r"(?<![\w:])(?:StartSpan|AddCount|SetGauge|SetAttr|AddEvent|"
+    r"Attr|LogEvent|Log|Event|Sample|counter|gauge|histogram|"
     r"RecordParam|RecordPrediction|RecordActual|SetParam|Predict|Actual)"
     r"\s*\(")
 STRING_LIT_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
@@ -196,8 +195,8 @@ UNCHECKED_IO_RE = re.compile(
 # Raw timing machinery forbidden in src/core: the util/timer.h include
 # (PhaseTimer / Stopwatch / ScopedTimer live there) and direct <chrono>
 # clock reads. `#include <chrono>` alone is also flagged — core code that
-# needs elapsed time gets it from an obs seam instead (an operator's Pull,
-# or a JoinTelemetry::Phase scope).
+# needs elapsed time gets it from an obs seam instead (an operator's
+# Pull).
 TIMER_INCLUDE_RE = re.compile(r'#\s*include\s*"util/timer\.h"')
 CHRONO_INCLUDE_RE = re.compile(r"#\s*include\s*<chrono>")
 CHRONO_CLOCK_RE = re.compile(
