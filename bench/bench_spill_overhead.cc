@@ -6,9 +6,13 @@
 // workload (50-element sets, 10000-element domain) at Scaled(100000)
 // sets: the advisor-tuned PEN self-join runs alternately fully in memory
 // (SpillPolicy::kDisabled, immune to the SSJOIN_SPILL env hook) and
-// through the signature-hash-partitioned spill driver. Any output
-// divergence exits nonzero; the best-of-reps times, the slowdown factor, and the spill
-// traffic land in BENCH_spill_overhead.json (--json-out to override).
+// through the signature-hash-partitioned spill driver. The `auto` row
+// measures the degrade path instead: SpillPolicy::kAuto under a guard
+// whose memory budget is half the in-memory signature table, so SigGen
+// hands its signatures to the spilled rerun. Any output divergence (or
+// an auto leg that did not spill) exits nonzero; the best-of-reps times,
+// the slowdown factor, and the spill traffic land in
+// BENCH_spill_overhead.json (--json-out to override).
 // --threads N measures the parallel drivers; --spill-partitions is
 // inherited through the common flags' defaults (8 partitions).
 
@@ -18,6 +22,7 @@
 
 #include "bench_common.h"
 #include "bench_schemes.h"
+#include "core/execution_guard.h"
 #include "core/predicate.h"
 #include "core/ssjoin.h"
 #include "util/timer.h"
@@ -43,8 +48,11 @@ struct DriverRow {
   }
 };
 
+// `join(policy)` runs the join under `policy`: kDisabled for the
+// in-memory legs, `spilled` for the out-of-core ones.
 template <typename JoinFn>
-DriverRow MeasureDriver(const char* driver, const JoinFn& join) {
+DriverRow MeasureDriver(const char* driver, SpillPolicy spilled,
+                        const JoinFn& join) {
   DriverRow row;
   row.driver = driver;
   row.in_memory_seconds = 1e300;
@@ -60,8 +68,7 @@ DriverRow MeasureDriver(const char* driver, const JoinFn& join) {
     for (int leg = 0; leg < 2; ++leg) {
       bool spilled_leg = (rep + leg) % 2 == 1;
       Stopwatch watch;
-      JoinResult run = join(spilled_leg ? SpillPolicy::kForced
-                                        : SpillPolicy::kDisabled);
+      JoinResult run = join(spilled_leg ? spilled : SpillPolicy::kDisabled);
       double seconds = watch.ElapsedSeconds();
       double& best =
           spilled_leg ? row.spilled_seconds : row.in_memory_seconds;
@@ -71,6 +78,11 @@ DriverRow MeasureDriver(const char* driver, const JoinFn& join) {
         std::fprintf(stderr, "error: %s join failed during %s: %s\n",
                      spilled_leg ? "spilled" : "in-memory", driver,
                      run.status.ToString().c_str());
+        std::exit(1);
+      }
+      if (spilled_leg && run.stats.spill_partitions == 0) {
+        std::fprintf(stderr, "error: spilled %s leg ran in memory\n",
+                     driver);
         std::exit(1);
       }
       if (spilled_leg) row.spill_stats = run.stats;
@@ -165,7 +177,18 @@ int main(int argc, char** argv) {
               "spilled_s", "slowdown", "spill_MiB", "identical");
 
   std::vector<DriverRow> rows;
-  rows.push_back(MeasureDriver("sorted", sorted));
+  rows.push_back(MeasureDriver("sorted", SpillPolicy::kForced, sorted));
+  ExecutionBudget budget;
+  budget.memory_budget_bytes =
+      rows[0].stats.signatures_r * sizeof(Signature) / 2;
+  auto degraded = [&](SpillPolicy policy) {
+    ExecutionGuard guard(budget);
+    JoinOptions options = base;
+    options.spill.policy = policy;
+    if (policy == SpillPolicy::kAuto) options.guard = &guard;
+    return run.SelfJoin(input, *made->scheme, predicate, options);
+  };
+  rows.push_back(MeasureDriver("auto", SpillPolicy::kAuto, degraded));
   for (const DriverRow& r : rows) {
     std::printf("%-12s %14.3f %14.3f %9.2fx %12.1f %10s\n", r.driver,
                 r.in_memory_seconds, r.spilled_seconds, r.Slowdown(),

@@ -32,6 +32,22 @@ void GenerateSorted(const SignatureScheme& scheme,
                  scratch->end());
 }
 
+void GenerateChunk(const SetCollection& input, const SignatureScheme& scheme,
+                   size_t begin, size_t end, ThreadPool& pool,
+                   ExecutionGuard* guard,
+                   std::vector<std::vector<Signature>>* sigs) {
+  if (sigs->size() < end - begin) sigs->resize(end - begin);
+  ParallelFor(
+      pool, end - begin,
+      [&](size_t first, size_t last, size_t) {
+        for (size_t i = first; i < last; ++i) {
+          GenerateSorted(scheme, input.set(static_cast<SetId>(begin + i)),
+                         &(*sigs)[i]);
+        }
+      },
+      StopFn(guard, JoinPhase::kSigGen));
+}
+
 namespace {
 
 // Probe sets per morsel: the unit of work handed to a worker, fixed so

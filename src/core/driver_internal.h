@@ -43,6 +43,20 @@ void GenerateSorted(const SignatureScheme& scheme,
                     std::span<const ElementId> set,
                     std::vector<Signature>* scratch);
 
+// Sets per signature-generation chunk, the unit of SigGen's auto-spill
+// check and of the spill write stage's checkpoints and disk charges;
+// fixed, so chunk boundaries never depend on the thread count.
+inline constexpr size_t kSigGenChunkSets = 8192;
+
+// The one signature-generation loop: (*sigs)[i] = the GenerateSorted
+// Sign(set begin + i) for one chunk [begin, end), fanned out over the
+// pool while polling the guard (kSigGen); after a trip the chunk is
+// partial. *sigs only grows, so its vectors are reused chunk to chunk.
+void GenerateChunk(const SetCollection& input, const SignatureScheme& scheme,
+                   size_t begin, size_t end, ThreadPool& pool,
+                   ExecutionGuard* guard,
+                   std::vector<std::vector<Signature>>* sigs);
+
 // The settled signature index of one join (DESIGN.md Section 6.1):
 // the (sig, id) postings grouped by signature, restricted to the groups
 // that can yield a pair, plus each probe set's partner ranges into

@@ -33,24 +33,8 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
   const bool binary = table_r != nullptr;
   rows_in_ = table_l->total() + (binary ? table_r->total() : 0);
 
-  // Auto-degradation arm point: with SpillPolicy::kAuto and a memory
-  // budget, a signature table that would blow the budget reruns
-  // out-of-core instead of tripping the guard (DESIGN.md Section 12).
-  // The footprint is thread-count-independent, so the decision is
-  // deterministic; the spilled rerun re-generates signatures streaming,
-  // so the tables are dropped here rather than carried across.
-  const bool auto_spill = options.spill.policy == SpillPolicy::kAuto &&
-                          guard != nullptr &&
-                          guard->budget().memory_budget_bytes > 0;
   const size_t table_bytes = SignatureChunkBytes(*table_l) +
                              (binary ? SignatureChunkBytes(*table_r) : 0);
-  if (auto_spill && guard->memory_charged() + table_bytes >
-                        guard->budget().memory_budget_bytes) {
-    *table_l = SignatureChunk();
-    if (binary) *table_r = SignatureChunk();
-    ctx_->degrade = true;
-    return Status::OK();
-  }
   if (guard != nullptr) {
     guard->ChargeMemory(table_bytes);
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
@@ -94,12 +78,14 @@ Status CandidateGenOperator::NextBatch(Batch* out) {
   if (!produced_) {
     produced_ = true;
     SSJOIN_RETURN_NOT_OK(input_->Pull(out));
+    // A degraded SigGen ends its stream without a table.
+    if (ctx_->degrade) return Status::OK();
     Status st = Produce(out);
     out->signatures_l = nullptr;  // consumed; signatures never flow on
     out->signatures_r = nullptr;
     out->kind = Batch::Kind::kEnd;
     SSJOIN_RETURN_NOT_OK(st);
-    if (ctx_->degrade || !ctx_->options->verify) return Status::OK();
+    if (!ctx_->options->verify) return Status::OK();
   }
   if (pos_ >= candidates_.total()) return Status::OK();
   // The chunk covers candidates [pos_, end) as counted before the bitmap

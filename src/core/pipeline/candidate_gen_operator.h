@@ -5,9 +5,9 @@
 // candidates as CandidateChunks cut every 16384 candidates counted
 // before the bitmap (the guarded verify super-chunks).
 //
-// Phase contract, in order: the auto-spill budget check against the CSR
-// table footprint (degrade → free the tables, set ctx->degrade, end the
-// stream cleanly — the guard must not latch); ChargeMemory(table bytes)
+// Phase contract, in order: an end batch instead of the tables (SigGen
+// degraded under the auto-spill budget and set ctx->degrade) ends the
+// stream at once, with nothing charged; ChargeMemory(table bytes)
 // + the kCandGen checkpoint; the bitmap tables, the index and the probe,
 // each charged; tripped → zero the partial collision/candidate counters
 // and surface the trip. With verify off the stream ends after

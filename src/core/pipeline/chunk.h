@@ -40,6 +40,16 @@ struct SignatureChunk {
   std::vector<size_t> offsets;
 
   uint64_t total() const { return values.size(); }
+  /// Sets covered: a prefix of the input side, in set order.
+  size_t sets() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+};
+
+/// The tables SigGen had generated when its auto-spill budget check fired
+/// (DESIGN.md Section 12), handed to the spilled rerun: all of the left
+/// side and part of the right, or part of the left.
+struct SignaturePrefix {
+  SignatureChunk left;
+  SignatureChunk right;
 };
 
 /// Heap footprint of a chunk — the quantity charged against the guard's
@@ -87,9 +97,9 @@ struct CandidateChunk {
 };
 
 /// One pull's worth of data. The signature pointers alias the producing
-/// operator's storage (non-const: the auto-spill degrade check frees the
-/// tables through them); the candidate chunk is carried by value and
-/// reused across pulls via Reset().
+/// operator's storage (non-const: CandidateGen frees the tables through
+/// them once its postings hold them); the candidate chunk is carried by
+/// value and reused across pulls via Reset().
 struct Batch {
   enum class Kind { kEnd, kSignatures, kCandidates };
 

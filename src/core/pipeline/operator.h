@@ -39,6 +39,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,11 +72,11 @@ struct ExecContext {
   obs::JoinTelemetry* telem = nullptr;
   JoinResult* result = nullptr;
 
-  /// Set by CandidateGen when the auto-spill budget check fires: the
-  /// chain winds down cleanly (no guard latch, nothing charged for the
-  /// dropped tables) and the runner reruns the join with the spilled
-  /// chain.
-  bool degrade = false;
+  /// Set by SigGen when the auto-spill budget check fires, holding the
+  /// signatures generated so far: the chain winds down cleanly (no
+  /// guard latch, nothing charged for the tables) and the runner reruns
+  /// the join with the spilled chain, handing them over.
+  std::optional<SignaturePrefix> degrade;
 };
 
 /// The JoinStats field an operator's self-time adds into: its paper

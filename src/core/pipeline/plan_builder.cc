@@ -1,6 +1,7 @@
 #include "core/pipeline/plan_builder.h"
 
 #include <memory>
+#include <utility>
 
 #include "core/pipeline/candidate_gen_operator.h"
 #include "core/pipeline/dedup_emit_operator.h"
@@ -10,9 +11,11 @@
 
 namespace ssjoin::pipeline {
 
-void BuildPlan(Plan* plan, ExecContext* ctx, bool spill) {
+void BuildPlan(Plan* plan, ExecContext* ctx, bool spill,
+               SignaturePrefix handover) {
   if (spill) {
-    plan->Add(std::make_unique<SpillPartitionOperator>(ctx));
+    plan->Add(
+        std::make_unique<SpillPartitionOperator>(ctx, std::move(handover)));
   } else {
     plan->Add(std::make_unique<SigGenOperator>(ctx));
     plan->Add(std::make_unique<CandidateGenOperator>(ctx));

@@ -20,7 +20,9 @@
 namespace ssjoin::pipeline {
 
 /// Fills `plan` with the spilled chain when `spill` is set (self or
-/// binary join), otherwise with the in-memory chain.
-void BuildPlan(Plan* plan, ExecContext* ctx, bool spill);
+/// binary join), otherwise with the in-memory chain. `handover` holds
+/// the signatures a degraded SigGen generated (spilled chain only).
+void BuildPlan(Plan* plan, ExecContext* ctx, bool spill,
+               SignaturePrefix handover = {});
 
 }  // namespace ssjoin::pipeline

@@ -1,78 +1,45 @@
 #include "core/pipeline/siggen_operator.h"
 
-#include <vector>
+#include <algorithm>
+#include <utility>
 
 #include "core/driver_internal.h"
 #include "core/execution_guard.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin::pipeline {
-namespace {
 
-// Signature generation, fanned out per set into thread-local CSR chunks
-// that are stitched back in set order — the layout is identical to the
-// serial loop for any thread count. A tripped/cancelled guard stops the
-// pass early; the caller must discard the (incomplete) chunk when
-// guard->tripped().
-SignatureChunk GenerateAll(const SetCollection& input,
-                           const SignatureScheme& scheme, ThreadPool& pool,
-                           ExecutionGuard* guard) {
-  size_t chunks = pool.size();
-  if (chunks == 1 || input.size() < 2 * chunks) {
-    SignatureChunk table;
-    table.offsets.reserve(input.size() + 1);
-    table.offsets.push_back(0);
-    std::vector<Signature> scratch;
-    for (SetId id = 0; id < input.size(); ++id) {
-      if (guard != nullptr && (id & 255u) == 0 &&
-          guard->ShouldStop(JoinPhase::kSigGen)) {
-        break;
-      }
-      detail::GenerateSorted(scheme, input.set(id), &scratch);
-      table.values.insert(table.values.end(), scratch.begin(),
-                          scratch.end());
-      table.offsets.push_back(table.values.size());
+// Appends Sign(set) of every set of `input` to the CSR `table`, one
+// detail::GenerateChunk at a time. With a `degrade_above` budget (0 =
+// none) the auto-spill check runs after each chunk, and once for an
+// empty input. Returns false when it fired (the table then holds a
+// prefix of the sets) or the guard tripped (the table is partial and
+// must be discarded).
+bool SigGenOperator::AppendSide(const SetCollection& input,
+                                SignatureChunk* table, size_t degrade_above) {
+  table->offsets.assign(1, 0);
+  size_t begin = 0;
+  do {
+    const size_t end =
+        std::min(input.size(), begin + detail::kSigGenChunkSets);
+    detail::GenerateChunk(input, *ctx_->scheme, begin, end, *ctx_->pool,
+                          ctx_->guard, &scratch_);
+    if (ctx_->guard != nullptr && ctx_->guard->tripped()) return false;
+    for (size_t i = 0; i < end - begin; ++i) {
+      table->values.insert(table->values.end(), scratch_[i].begin(),
+                           scratch_[i].end());
+      table->offsets.push_back(table->values.size());
     }
-    return table;
-  }
-
-  std::vector<SignatureChunk> parts(chunks);
-  ParallelFor(
-      pool, input.size(),
-      [&](size_t begin, size_t end, size_t c) {
-        SignatureChunk& part = parts[c];
-        // With a guard the chunk arrives as several sub-blocks; only the
-        // first one plants the leading CSR offset.
-        if (part.offsets.empty()) part.offsets.push_back(0);
-        std::vector<Signature> scratch;
-        for (size_t id = begin; id < end; ++id) {
-          detail::GenerateSorted(scheme, input.set(static_cast<SetId>(id)),
-                                 &scratch);
-          part.values.insert(part.values.end(), scratch.begin(),
-                             scratch.end());
-          part.offsets.push_back(part.values.size());
-        }
-      },
-      detail::StopFn(guard, JoinPhase::kSigGen));
-
-  SignatureChunk table;
-  size_t total = 0;
-  for (const SignatureChunk& part : parts) total += part.values.size();
-  table.values.reserve(total);
-  table.offsets.reserve(input.size() + 1);
-  table.offsets.push_back(0);
-  for (SignatureChunk& part : parts) {
-    size_t base = table.values.size();
-    table.values.insert(table.values.end(), part.values.begin(),
-                        part.values.end());
-    for (size_t i = 1; i < part.offsets.size(); ++i) {
-      table.offsets.push_back(base + part.offsets[i]);
+    begin = end;
+    if (degrade_above > 0 &&
+        ctx_->guard->memory_charged() + SignatureChunkBytes(left_) +
+                SignatureChunkBytes(right_) >
+            degrade_above) {
+      return false;
     }
-  }
-  return table;
+  } while (begin < input.size());
+  return true;
 }
-
-}  // namespace
 
 Status SigGenOperator::NextBatch(Batch* out) {
   if (done_) return Status::OK();  // out is already an end batch
@@ -83,18 +50,32 @@ Status SigGenOperator::NextBatch(Batch* out) {
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kSigGen));
   }
   const bool binary = ctx_->right != nullptr;
-  left_ = GenerateAll(*ctx_->left, *ctx_->scheme, *ctx_->pool, guard);
-  if (binary && (guard == nullptr || !guard->tripped())) {
-    right_ = GenerateAll(*ctx_->right, *ctx_->scheme, *ctx_->pool, guard);
-  }
+  // The auto-spill degrade check (DESIGN.md Section 12): would the tables
+  // blow the memory budget? They only grow, so checking after every
+  // chunk fires exactly when a check of the finished tables would, at
+  // the same chunk for every thread count.
+  const size_t degrade_above =
+      ctx_->options->spill.policy == SpillPolicy::kAuto && guard != nullptr
+          ? guard->budget().memory_budget_bytes
+          : 0;
+  const bool complete =
+      AppendSide(*ctx_->left, &left_, degrade_above) &&
+      (!binary || AppendSide(*ctx_->right, &right_, degrade_above));
+  scratch_ = {};
   if (guard != nullptr && guard->tripped()) {
     // Stopped mid-SigGen: the chunk is incomplete, commit nothing.
     return guard->trip_status();
   }
+  rows_in_ = left_.sets() + right_.sets();
+  rows_out_ = left_.total() + right_.total();
+  if (!complete) {
+    // Degrade: hand what was generated to the spilled rerun and end the
+    // stream cleanly — the guard does not latch and nothing is charged.
+    ctx_->degrade = SignaturePrefix{std::move(left_), std::move(right_)};
+    return Status::OK();
+  }
   stats.signatures_r = left_.total();
   stats.signatures_s = binary ? right_.total() : left_.total();
-  rows_in_ = ctx_->left->size() + (binary ? ctx_->right->size() : 0);
-  rows_out_ = left_.total() + (binary ? right_.total() : 0);
   out->kind = Batch::Kind::kSignatures;
   out->signatures_l = &left_;
   out->signatures_r = binary ? &right_ : nullptr;

@@ -29,7 +29,8 @@ Status SpillPartitionOperator::Produce() {
     std::vector<uint64_t> attempt_candidates;
     Status st = spill::internal::RunAttempt(
         *ctx_->left, ctx_->right, *ctx_->scheme, options, partitions,
-        *ctx_->pool, guard, *ctx_->telem, &attempt, &attempt_candidates);
+        &handover_, *ctx_->pool, guard, *ctx_->telem, &attempt,
+        &attempt_candidates);
     // I/O bytes accumulate across attempts — failed work was still disk
     // traffic the operator pays for.
     stats.spill_bytes_written += attempt.spill_bytes_written;

@@ -8,15 +8,18 @@
 // tables are built once the candidates are merged). Guard trips are
 // final; exhausted retries surrender with
 // the completed-signature counts but no candidate accounting, exactly
-// like the legacy spilled driver. Partitioning interleaves signature
-// generation with candidate generation, so the operator's self-time —
-// every attempt, failed ones included, and the bitmap test — counts
-// under CandPair and siggen_seconds stays 0.
+// like the legacy spilled driver. After an auto-spill degrade the first
+// attempt writes the handed-over signatures instead of generating them
+// again, freeing each side once written; a retry generates every set. Partitioning interleaves signature generation with
+// candidate generation, so the operator's self-time — every attempt,
+// failed ones included, and the bitmap test — counts under CandPair;
+// siggen_seconds holds only a degraded SigGen's time.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/driver_internal.h"
@@ -26,9 +29,10 @@ namespace ssjoin::pipeline {
 
 class SpillPartitionOperator : public Operator {
  public:
-  explicit SpillPartitionOperator(ExecContext* ctx)
+  SpillPartitionOperator(ExecContext* ctx, SignaturePrefix handover)
       : Operator(ctx, "SpillPartition", "partitioned",
-                 obs::names::kOpSpillPartition, &JoinStats::candpair_seconds) {}
+                 obs::names::kOpSpillPartition, &JoinStats::candpair_seconds),
+        handover_(std::move(handover)) {}
 
   Status NextBatch(Batch* out) override;
   void Close() override;
@@ -36,6 +40,9 @@ class SpillPartitionOperator : public Operator {
  private:
   Status Produce();
 
+  // A degraded SigGen's signatures; the first attempt's write stage
+  // empties it.
+  SignaturePrefix handover_;
   bool produced_ = false;
   std::vector<uint64_t> candidates_;
   size_t pos_ = 0;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/execution_guard.h"
+#include "core/pipeline/chunk.h"
 #include "core/signature_scheme.h"
 #include "core/ssjoin.h"
 #include "data/collection.h"
@@ -20,7 +21,11 @@
 namespace ssjoin::spill::internal {
 
 // One spill attempt: write both sides into partition files, then run
-// candidate generation partition by partition and merge. Fills `stats`
+// candidate generation partition by partition and merge. The write stage
+// appends the postings of `*handover` — the signatures an auto-spill
+// degrade generated, empty otherwise — and generates only the sets after
+// them; it empties each side of `*handover` as that side's write ends,
+// so a retry generates every set. Fills `stats`
 // (signature/collision/candidate counters, spill byte counters —
 // always, so failed attempts still account their I/O) and
 // `*candidates` (only valid on OK). The attempt's temp directory and
@@ -28,7 +33,8 @@ namespace ssjoin::spill::internal {
 // is the only thing that escapes.
 Status RunAttempt(const SetCollection& left, const SetCollection* right,
                   const SignatureScheme& scheme, const JoinOptions& options,
-                  uint32_t partitions, ThreadPool& pool, ExecutionGuard* guard,
+                  uint32_t partitions, pipeline::SignaturePrefix* handover,
+                  ThreadPool& pool, ExecutionGuard* guard,
                   obs::JoinTelemetry& telem, JoinStats* stats,
                   std::vector<uint64_t>* candidates);
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,11 +27,6 @@ namespace {
 // fixed seed only pins which partition a signature lands in, and with it
 // the byte layout of the partition files.
 constexpr uint64_t kPartitionSeed = 0xc3a5c85c97cb3127ull;
-
-// Sets streamed per write-stage chunk. Chunks are the deterministic unit
-// of the write stage: guard checkpoints and disk charges happen only at
-// chunk boundaries, independent of the thread count.
-constexpr size_t kWriteChunkSets = 8192;
 
 size_t PartitionOf(Signature sig, uint32_t partitions) {
   return partitions == 1
@@ -82,16 +78,21 @@ uint64_t WriterBytes(const std::vector<SpillFileWriter>& writers) {
 }
 
 // Write stage for one input side: streams Sign(set) postings into the
-// partition writers. Signature generation is pool-parallel per chunk;
-// the append pass is sequential in set order, so the file bytes are
-// identical for every thread count. `*signatures` is only meaningful
+// partition writers one detail::kSigGenChunkSets chunk at a time; guard
+// checkpoints and disk charges happen only at chunk boundaries. Chunks
+// covered by `handover` (a degraded SigGen's table, which ends on a
+// chunk boundary or at the side's end) are taken from it, the rest
+// generated. The append pass is sequential in set order, so the file
+// bytes are identical for every thread count and every handover.
+// `*signatures` is only meaningful
 // when the function returns OK (a stopped chunk leaves it partial; the
 // caller commits it to stats only on success).
-Status WriteSide(const SetCollection& input, const SignatureScheme& scheme,
-                 ThreadPool& pool, ExecutionGuard* guard,
-                 ChargeLedger* ledger, uint32_t partitions,
-                 const util::ScopedTempDir& tmp, const char* prefix,
-                 std::vector<SpillFileWriter>* writers,
+Status WriteSide(const SetCollection& input,
+                 const pipeline::SignatureChunk& handover,
+                 const SignatureScheme& scheme, ThreadPool& pool,
+                 ExecutionGuard* guard, ChargeLedger* ledger,
+                 uint32_t partitions, const util::ScopedTempDir& tmp,
+                 const char* prefix, std::vector<SpillFileWriter>* writers,
                  uint64_t* signatures) {
   writers->resize(partitions);
   for (uint32_t p = 0; p < partitions; ++p) {
@@ -106,28 +107,28 @@ Status WriteSide(const SetCollection& input, const SignatureScheme& scheme,
   };
   charge_delta();  // the per-file headers
   std::vector<std::vector<Signature>> sigs;
-  for (size_t c0 = 0; c0 < input.size(); c0 += kWriteChunkSets) {
+  for (size_t c0 = 0; c0 < input.size(); c0 += detail::kSigGenChunkSets) {
     if (guard != nullptr) {
       SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kSpill));
     }
     size_t c1 = std::min(static_cast<size_t>(input.size()),
-                         c0 + kWriteChunkSets);
-    sigs.assign(c1 - c0, {});
-    ParallelFor(
-        pool, c1 - c0,
-        [&](size_t begin, size_t end, size_t) {
-          for (size_t i = begin; i < end; ++i) {
-            detail::GenerateSorted(
-                scheme, input.set(static_cast<SetId>(c0 + i)), &sigs[i]);
-          }
-        },
-        detail::StopFn(guard, JoinPhase::kSigGen));
-    if (guard != nullptr && guard->tripped()) return guard->trip_status();
-    for (size_t i = 0; i < sigs.size(); ++i) {
-      *signatures += sigs[i].size();
-      for (Signature sig : sigs[i]) {
+                         c0 + detail::kSigGenChunkSets);
+    const bool handed_over = c1 <= handover.sets();
+    if (!handed_over) {
+      detail::GenerateChunk(input, scheme, c0, c1, pool, guard, &sigs);
+      if (guard != nullptr && guard->tripped()) return guard->trip_status();
+    }
+    const Signature* handed = handover.values.data();
+    for (size_t id = c0; id < c1; ++id) {
+      std::span<const Signature> set_sigs =
+          handed_over ? std::span<const Signature>(
+                            handed + handover.offsets[id],
+                            handed + handover.offsets[id + 1])
+                      : std::span<const Signature>(sigs[id - c0]);
+      *signatures += set_sigs.size();
+      for (Signature sig : set_sigs) {
         SSJOIN_RETURN_NOT_OK((*writers)[PartitionOf(sig, partitions)].Append(
-            sig, static_cast<SetId>(c0 + i)));
+            sig, static_cast<SetId>(id)));
       }
     }
     charge_delta();
@@ -149,12 +150,14 @@ namespace internal {
 // always, so failed attempts still account their I/O) and `*candidates`
 // (only valid on OK). The attempt's temp directory and guard charges are
 // released on every path; the merged candidate vector is the only thing
-// that escapes.
+// that escapes. Each side of `*handover` is written in place of its
+// first sets and freed as that side's write ends.
 Status RunAttempt(const SetCollection& left, const SetCollection* right,
                   const SignatureScheme& scheme, const JoinOptions& options,
-                  uint32_t partitions, ThreadPool& pool,
-                  ExecutionGuard* guard, obs::JoinTelemetry& telem,
-                  JoinStats* stats, std::vector<uint64_t>* candidates) {
+                  uint32_t partitions, pipeline::SignaturePrefix* handover,
+                  ThreadPool& pool, ExecutionGuard* guard,
+                  obs::JoinTelemetry& telem, JoinStats* stats,
+                  std::vector<uint64_t>* candidates) {
   util::ScopedTempDir tmp;
   SSJOIN_ASSIGN_OR_RETURN(tmp, util::ScopedTempDir::Create(options.spill.dir));
   ChargeLedger ledger(guard);
@@ -163,12 +166,16 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   std::vector<SpillFileWriter> writers_r;
   uint64_t signatures_l = 0;
   uint64_t signatures_r = 0;
-  Status write_status = WriteSide(left, scheme, pool, guard, &ledger, partitions,
-                           tmp, "part-r-", &writers_l, &signatures_l);
+  Status write_status =
+      WriteSide(left, handover->left, scheme, pool, guard, &ledger,
+                partitions, tmp, "part-r-", &writers_l, &signatures_l);
+  handover->left = {};
   if (write_status.ok() && right != nullptr) {
-    write_status = WriteSide(*right, scheme, pool, guard, &ledger, partitions,
-                             tmp, "part-s-", &writers_r, &signatures_r);
+    write_status =
+        WriteSide(*right, handover->right, scheme, pool, guard, &ledger,
+                  partitions, tmp, "part-s-", &writers_r, &signatures_r);
   }
+  handover->right = {};
   // Bytes any writer durably handed off count into the attempt's I/O
   // accounting even when the stage failed mid-file.
   stats->spill_bytes_written += WriterBytes(writers_l) + WriterBytes(writers_r);

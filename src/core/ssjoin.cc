@@ -153,11 +153,14 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
 
 // The one plan runner behind Join(). `spill` selects the out-of-core
 // source (SpillPartition); otherwise SigGen -> CandidateGen runs the
-// join in memory. When CandidateGen degrades under the auto-spill
-// budget (it drops its tables before charging them), the runner reruns
-// the same request out of core; that rerun opens its own telemetry root
-// and accounts its footprint from zero.
-JoinResult RunPlan(const JoinRequest& request, bool spill) {
+// join in memory. When SigGen degrades under the auto-spill budget (its
+// tables never charged), the runner reruns the same request out of
+// core, handing over the signatures generated so far and SigGen's time;
+// that rerun opens its own telemetry root and accounts its footprint
+// from zero.
+JoinResult RunPlan(const JoinRequest& request, bool spill,
+                   pipeline::SignaturePrefix handover = {},
+                   double siggen_seconds = 0) {
   const JoinOptions& options = request.options;
   const SetCollection& left = *request.left;
   const SetCollection* right =
@@ -169,6 +172,7 @@ JoinResult RunPlan(const JoinRequest& request, bool spill) {
       left.size() + (right != nullptr ? right->size() : 0);
 
   JoinResult result;
+  result.stats.siggen_seconds = siggen_seconds;
   obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
   telem.Attr("mode", mode);
   if (right != nullptr) {
@@ -211,14 +215,15 @@ JoinResult RunPlan(const JoinRequest& request, bool spill) {
   ctx.telem = &telem;
   ctx.result = &result;
   pipeline::Plan plan(&ctx);
-  pipeline::BuildPlan(&plan, &ctx, spill);
+  pipeline::BuildPlan(&plan, &ctx, spill, std::move(handover));
   Status st = plan.Run();
   if (ctx.degrade) {
     // The in-memory source decided the memory budget cannot hold its
     // tables (an auto-spill degrade never latches the guard).
     obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
                   {{"mode", mode}});
-    return RunPlan(request, /*spill=*/true);
+    return RunPlan(request, /*spill=*/true, std::move(*ctx.degrade),
+                   result.stats.siggen_seconds);
   }
   if (!st.ok()) {
     result.pairs.clear();

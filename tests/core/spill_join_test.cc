@@ -4,7 +4,8 @@
 //     the in-memory join for every driver, thread count, and partition
 //     count;
 //   - SpillPolicy::kAuto degrades to disk where kDisabled trips the
-//     memory budget, and still produces the reference output;
+//     memory budget, and still produces the reference output, signing
+//     each set once: the spill writer takes over SigGen's signatures;
 //   - every injected I/O fault surfaces as a structured Status, retries
 //     halve the partition count, and no spill file outlives the join on
 //     any path — success, trip, or exhausted retries.
@@ -14,6 +15,7 @@
 
 #include <dirent.h>
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "core/spill/spill_join.h"
 #include "core/ssjoin.h"
 #include "data/generators.h"
+#include "obs/metrics.h"
 #include "util/temp_dir.h"
 
 namespace ssjoin {
@@ -50,10 +53,11 @@ SetCollection Workload(size_t n, uint64_t seed = 77) {
 // memory) small while the posting count stays large. The auto-degrade
 // tests need a memory budget the in-memory table cannot fit but the
 // spilled join's per-partition reads and candidate buffers can.
-SetCollection SparseWorkload(size_t n = 2000, uint64_t seed = 99) {
+SetCollection SparseWorkload(size_t n = 2000, uint64_t seed = 99,
+                             uint32_t set_size = 30) {
   UniformSetOptions options;
   options.num_sets = n;
-  options.set_size = 30;
+  options.set_size = set_size;
   options.domain_size = 1000000;
   options.similar_fraction = 0.1;
   options.mutations = 2;
@@ -75,6 +79,31 @@ void ExpectSameOutput(const JoinResult& got, const JoinResult& want,
   EXPECT_EQ(got.stats.candidates, want.stats.candidates) << label;
   EXPECT_EQ(got.stats.results, want.stats.results) << label;
   EXPECT_EQ(got.stats.false_positives, want.stats.false_positives) << label;
+}
+
+// Counts Sign(set) calls, so a test can see how often each set was
+// signed. Generate runs on pool workers, hence the atomic.
+class CountingScheme final : public SignatureScheme {
+ public:
+  std::string Name() const override { return "Counting"; }
+  void Generate(std::span<const ElementId> set,
+                std::vector<Signature>* out) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    inner_.Generate(set, out);
+  }
+  uint64_t calls() const { return calls_.load(); }
+  void Reset() { calls_.store(0); }
+
+ private:
+  IdentityScheme inner_;
+  mutable std::atomic<uint64_t> calls_{0};
+};
+
+// The CSR signature table footprint of one side under IdentityScheme:
+// one signature per element plus one offset per set and a leading one.
+size_t TableBytes(const SetCollection& input) {
+  return input.total_elements() * sizeof(Signature) +
+         (input.size() + 1) * sizeof(size_t);
 }
 
 size_t DirEntryCount(const std::string& path) {
@@ -201,6 +230,122 @@ TEST_F(SpillJoinTest, AutoDegradesWhereDisabledTrips) {
     EXPECT_GT(degraded.stats.spill_partitions, 0u);
   }
   EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u);
+}
+
+// An auto-spill degrade signs every set exactly once: SigGen checks the
+// budget per detail::kSigGenChunkSets chunk and the spill write stage
+// appends what SigGen handed over instead of generating it again. The
+// sides span two chunks so the check can fire mid-side.
+TEST_F(SpillJoinTest, AutoDegradeGeneratesEachSetOnce) {
+  SetCollection big = SparseWorkload(9000, 31, 10);
+  // Samples of `big`, so the binary joins find pairs.
+  SetCollection small = big.Sample(4000, 32);
+  SetCollection other = big.Sample(9000, 33);
+  struct Case {
+    const char* name;
+    const SetCollection* left;
+    const SetCollection* right;  // null: self-join
+    size_t budget;
+    bool fires_on_last_chunk;
+  };
+  const Case cases[] = {
+      {"self", &big, nullptr, TableBytes(big) / 2, false},
+      {"binary_inside_l", &big, &small, TableBytes(big) / 2, false},
+      {"binary_inside_r", &big, &other,
+       TableBytes(big) + TableBytes(other) / 2, false},
+      {"last_chunk", &big, nullptr, TableBytes(big) - 1, true},
+  };
+  CountingScheme counting;
+  for (const Case& c : cases) {
+    const ExecutionMode mode = c.right != nullptr
+                                   ? ExecutionMode::kBinaryJoin
+                                   : ExecutionMode::kSelfJoin;
+    const uint64_t input_sets =
+        c.left->size() + (c.right != nullptr ? c.right->size() : 0);
+    JoinRequest forced_request = Request(*c.left, mode, SpillPolicy::kForced);
+    forced_request.right = c.right;
+    forced_request.scheme = &counting;
+    JoinResult forced = Join(forced_request);
+    ASSERT_TRUE(forced.status.ok()) << c.name;
+    ASSERT_GT(forced.stats.results, 0u) << c.name;
+    for (size_t threads = 1; threads <= 4; ++threads) {
+      const std::string label =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      ExecutionBudget budget;
+      budget.memory_budget_bytes = c.budget;
+      ExecutionGuard guard(budget);
+      obs::MetricsRegistry metrics;
+      JoinRequest request =
+          Request(*c.left, mode, SpillPolicy::kAuto, threads);
+      request.right = c.right;
+      request.scheme = &counting;
+      request.options.guard = &guard;
+      request.options.metrics = &metrics;
+      counting.Reset();
+      JoinResult degraded = Join(request);
+      EXPECT_EQ(counting.calls(), input_sets) << label;
+      EXPECT_FALSE(guard.tripped()) << label;
+      ExpectSameOutput(degraded, forced, label);
+      EXPECT_EQ(degraded.stats.bitmap_filter_checked,
+                forced.stats.bitmap_filter_checked)
+          << label;
+      EXPECT_EQ(degraded.stats.bitmap_filter_pruned,
+                forced.stats.bitmap_filter_pruned)
+          << label;
+      EXPECT_EQ(degraded.stats.spill_partitions,
+                forced.stats.spill_partitions)
+          << label;
+      EXPECT_EQ(degraded.stats.spill_retries, 0u) << label;
+      EXPECT_EQ(degraded.stats.spill_bytes_written,
+                forced.stats.spill_bytes_written)
+          << label;
+      EXPECT_EQ(degraded.stats.spill_bytes_read,
+                forced.stats.spill_bytes_read)
+          << label;
+      // The degraded SigGen's pass stays visible in the returned stats,
+      // and its rows_out counts the signatures it handed over.
+      EXPECT_GT(degraded.stats.siggen_seconds, 0.0) << label;
+      const uint64_t handed =
+          metrics.counter("pipeline.siggen.rows_out").value();
+      const uint64_t all = forced.stats.signatures_r +
+                           (c.right != nullptr ? forced.stats.signatures_s
+                                               : 0);
+      EXPECT_GT(handed, 0u) << label;
+      if (c.fires_on_last_chunk) {
+        EXPECT_EQ(handed, all) << label;
+      } else {
+        EXPECT_LT(handed, all) << label;
+      }
+    }
+  }
+  EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u) << "leaked spill dirs";
+}
+
+// An I/O failure in the first attempt's write stage, after SigGen handed
+// its signatures over: the retry at half the partitions generates every
+// set again and lands on the forced-spill output.
+TEST_F(SpillJoinTest, AutoDegradeRetryAfterHandover) {
+  if (!fault::Enabled()) GTEST_SKIP() << "fault injection compiled out";
+  SetCollection input = SparseWorkload(9000, 31, 10);
+  JoinResult forced =
+      Join(Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kForced));
+  ASSERT_TRUE(forced.status.ok());
+
+  ExecutionBudget budget;
+  budget.memory_budget_bytes = TableBytes(input) / 2;
+  ExecutionGuard guard(budget);
+  JoinRequest request =
+      Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kAuto);
+  request.options.guard = &guard;
+  fault::FaultPlan plan;
+  plan.specs.push_back(fault::IoFaultAfter(IoOp::kWrite, IoFault::kEnospc));
+  fault::SetPlan(plan);
+  JoinResult result = Join(request);
+  ExpectSameOutput(result, forced, "auto degrade retry");
+  EXPECT_FALSE(guard.tripped());
+  EXPECT_EQ(result.stats.spill_retries, 1u);
+  EXPECT_EQ(result.stats.spill_partitions, spill::kDefaultPartitions / 2);
+  EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u) << "leaked spill dirs";
 }
 
 TEST_F(SpillJoinTest, DiskBudgetTripsAsResourceExhausted) {
